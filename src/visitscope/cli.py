@@ -21,7 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("stage", choices=STAGES + ("all",), help="pipeline stage to run")
     parser.add_argument("--config", required=True, help="path to the pipeline config JSON")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (stages run per-user work sequentially)")
     parser.add_argument("--seed", type=int, help="override model.seed")
     parser.add_argument("--tau", type=float, help="override quality.tau_hours")
     parser.add_argument("--T", type=int, dest="t_days", help="override quality.t_days")
@@ -64,14 +63,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    pipeline = Pipeline(config, progress_json=args.progress_json)
     stages = STAGES if args.stage == "all" else (args.stage,)
-    for stage in stages:
-        try:
+    stage = None
+    try:
+        pipeline = Pipeline(config, progress_json=args.progress_json)
+        for stage in stages:
             pipeline.run_stage(stage)
-        except Exception as exc:
-            print(f"stage {stage} failed: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+    except Exception as exc:
+        where = f"stage {stage}" if stage else f"loading the run manifest in {config.out_dir}"
+        print(f"{where} failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

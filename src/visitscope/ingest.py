@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import IO, Iterable
+from urllib.parse import quote, unquote
 
 PLT_HEADER_LINES = 6
 COORD_DECIMALS = 6
@@ -221,13 +221,17 @@ def write_traces(
     sources: list[str] | None = None,
     parse_errors: int = 0,
 ) -> dict:
-    """Persist traces to ``<out_dir>/traces/<user_id>.csv`` plus a JSON manifest."""
+    """Persist traces to ``<out_dir>/traces/<quoted user_id>.csv``; return the store's manifest.
+
+    The user id is percent-quoted with no safe characters, so an id such as
+    ``../x`` names a file inside ``traces/``.
+    """
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     users = {}
     for user in sorted(traces):
         trace = traces[user]
-        path = os.path.join(traces_dir, f"{user}.csv")
+        path = os.path.join(traces_dir, quote(user, safe="") + ".csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t_iso8601", "lat", "lon"])
@@ -243,15 +247,11 @@ def write_traces(
         if trace.records:
             span = [trace.records[0].t.isoformat(), trace.records[-1].t.isoformat()]
         users[user] = {"n_records": len(trace), "time_span": span}
-    manifest = {
+    return {
         "sources": sorted(sources or []),
         "parse_errors": parse_errors,
         "users": users,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
 
 
 def read_traces(out_dir: str) -> dict[str, MobilityTrace]:
@@ -261,7 +261,7 @@ def read_traces(out_dir: str) -> dict[str, MobilityTrace]:
     for name in sorted(os.listdir(traces_dir)):
         if not name.endswith(".csv"):
             continue
-        user = name[:-4]
+        user = unquote(name[:-4])
         records = []
         with open(os.path.join(traces_dir, name), newline="") as fh:
             reader = csv.DictReader(fh)

@@ -1,7 +1,8 @@
 """Staged pipeline: ingest -> quality -> visits -> fit -> classify -> patterns -> report.
 
-Each stage writes its artifacts under ``<out>/<stage>/`` and records a cache
-key in ``<out>/run_manifest.json``; re-running an unchanged stage is a no-op.
+Each stage writes its artifacts into ``<out>/.<stage>.tmp/``, which replaces
+``<out>/<stage>/`` whole once the stage has succeeded, and records a cache key
+in ``<out>/run_manifest.json``; re-running an unchanged stage is a no-op.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass, field
+from datetime import datetime
 
 from . import classify as classify_mod
 from . import ingest as ingest_mod
@@ -25,6 +26,8 @@ from . import quality as quality_mod
 from . import visits as visits_mod
 
 STAGES = ("ingest", "quality", "visits", "fit", "classify", "patterns", "report")
+# the quality settings cohort.json records next to the cohort
+COHORT_PARAMS = ("tau_hours", "t_days", "mu_t_min", "mu_s_min")
 
 
 class ConfigError(Exception):
@@ -119,19 +122,8 @@ class PipelineConfig:
             if not os.path.exists(path):
                 raise ConfigError(f"ingest.trajectory_csvs: path does not exist: {path}")
 
-    def section(self, name: str) -> dict:
-        return getattr(self, name if name != "fit" else "model")
-
     def to_dict(self) -> dict:
-        return {
-            "out_dir": self.out_dir,
-            "ingest": self.ingest,
-            "quality": self.quality,
-            "visits": self.visits,
-            "model": self.model,
-            "classify": self.classify,
-            "patterns": self.patterns,
-        }
+        return asdict(self)
 
 
 # stage -> stages whose outputs feed it
@@ -152,8 +144,29 @@ STAGE_CONFIG = {
     "visits": ("quality", "visits"),
     "fit": ("model",),
     "classify": ("model", "classify"),
-    "patterns": ("patterns",),
+    "patterns": ("patterns", "quality", "model"),
     "report": (),
+}
+
+# table -> (path under <out>, columns); a column "name:spec" is written as f"{value:spec}",
+# a bare "name" as the csv module writes the value (None as an empty field)
+TABLES = {
+    "pois": ("ingest/pois.csv", "poi_id lat:.6f lon:.6f category"),
+    "reports": ("quality/reports.csv", "user_id tau_h:g T_d mu_T:.12g mu_S:.12g"),
+    "visits": ("visits/visits.csv", "user_id poi_id arrival departure dwell_s:.12g lat:.6f lon:.6f"),
+    "features": (
+        "visits/features.csv",
+        "user_id poi_id n_days mean_dwell_h:.12g n_visits total_dwell_h:.12g",
+    ),
+    "sweep": ("fit/sweep.csv", "k cov_kind loglik:.12g bic:.12g aic:.12g converged"),
+    "labeled_features": (
+        "classify/labeled_features.csv",
+        "user_id poi_id n_days:g mean_dwell_h:.12g component label",
+    ),
+    "transitions": ("patterns/transitions.csv", "user_id from to count prob:.12g"),
+    "semantic_profile": ("patterns/semantic_profile.csv", "label rank category share:.12g"),
+    "temporal_profile": ("patterns/temporal_profile.csv", "label dow hour intensity:.12g"),
+    "spatial_grid": ("patterns/spatial_grid.csv", "label lat_idx lon_idx count"),
 }
 
 
@@ -165,14 +178,6 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _tree_files(root: str) -> list[str]:
-    out = []
-    for dirpath, _, names in os.walk(root):
-        for name in sorted(names):
-            out.append(os.path.join(dirpath, name))
-    return sorted(out)
-
-
 class Pipeline:
     def __init__(self, config: PipelineConfig, progress_json: bool = False):
         self.config = config
@@ -180,16 +185,41 @@ class Pipeline:
         self.progress_json = progress_json
         os.makedirs(self.out, exist_ok=True)
         self.manifest_path = os.path.join(self.out, "run_manifest.json")
-        self.manifest = {"config": config.to_dict(), "stages": {}}
+        self.manifest = {"stages": {}}
         if os.path.exists(self.manifest_path):
-            with open(self.manifest_path) as fh:
-                self.manifest = json.load(fh)
-            self.manifest["config"] = config.to_dict()
+            self.manifest = self._read_json("run_manifest.json")
+        self.manifest["config"] = config.to_dict()
 
     # -- plumbing ----------------------------------------------------------
 
     def stage_dir(self, stage: str) -> str:
         return os.path.join(self.out, stage)
+
+    def _staged(self, rel: str) -> str:
+        """Where ``<out>/<rel>`` is written: under the temp twin of its top-level entry."""
+        top, sep, rest = rel.partition("/")
+        return os.path.join(self.out, f".{top}.tmp{sep}{rest}")
+
+    def _write_json(self, rel: str, doc) -> None:
+        with open(self._staged(rel), "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    def _read_json(self, rel: str):
+        with open(os.path.join(self.out, rel)) as fh:
+            return json.load(fh)
+
+    def _write_table(self, table: str, rows) -> None:
+        rel, columns = TABLES[table]
+        names, specs = zip(*(col.partition(":")[::2] for col in columns.split()))
+        with open(self._staged(rel), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            writer.writerows([format(v, s) if s else v for v, s in zip(row, specs)] for row in rows)
+
+    def _read_table(self, table: str) -> list[dict]:
+        with open(os.path.join(self.out, TABLES[table][0]), newline="") as fh:
+            return list(csv.DictReader(fh))
 
     def _log(self, stage: str, event: str, **extra) -> None:
         if self.progress_json:
@@ -213,7 +243,7 @@ class Pipeline:
     def _cache_key(self, stage: str) -> str:
         h = hashlib.sha256()
         for section in STAGE_CONFIG[stage]:
-            h.update(json.dumps(self.config.section(section), sort_keys=True).encode())
+            h.update(json.dumps(getattr(self.config, section), sort_keys=True).encode())
         for path in self._raw_input_files(stage):
             h.update(path.encode())
             h.update(_sha256_file(path).encode())
@@ -222,56 +252,47 @@ class Pipeline:
             h.update(json.dumps(dep_entry.get("outputs", {}), sort_keys=True).encode())
         return h.hexdigest()
 
-    def _outputs_intact(self, stage: str) -> bool:
-        entry = self.manifest["stages"].get(stage)
-        if not entry:
-            return False
-        for rel, digest in entry.get("outputs", {}).items():
-            path = os.path.join(self.out, rel)
-            if not os.path.exists(path) or _sha256_file(path) != digest:
-                return False
-        return True
-
-    def _record(self, stage: str, key: str, wall: float) -> None:
-        outputs = {}
-        sdir = self.stage_dir(stage)
-        for path in _tree_files(sdir):
-            rel = os.path.relpath(path, self.out)
-            outputs[rel] = _sha256_file(path)
-        self.manifest["stages"][stage] = {
-            "cache_key": key,
-            "outputs": outputs,
-            "wall_clock_s": wall,
-        }
-        with open(self.manifest_path, "w") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def _outputs_intact(self, entry: dict) -> bool:
+        paths = {os.path.join(self.out, rel): digest for rel, digest in entry["outputs"].items()}
+        return all(os.path.exists(path) and _sha256_file(path) == d for path, d in paths.items())
 
     def run_stage(self, stage: str) -> bool:
-        """Run one stage; returns True on a cache hit."""
+        """Run one stage; returns True on a cache hit.
+
+        The stage writes into ``<out>/.<stage>.tmp/``; only once it succeeds does
+        that directory replace ``<out>/<stage>/``, so no file of an earlier run
+        survives. The output digests and the manifest are then updated.
+        """
         key = self._cache_key(stage)
         entry = self.manifest["stages"].get(stage)
-        if entry and entry.get("cache_key") == key and self._outputs_intact(stage):
+        if entry and entry["cache_key"] == key and self._outputs_intact(entry):
             self._log(stage, "cache-hit")
             return True
         self._log(stage, "start")
+        tmp, sdir = self._staged(stage), self.stage_dir(stage)
+        shutil.rmtree(tmp, ignore_errors=True)  # left by a run that crashed in this stage
+        os.makedirs(tmp)
         t0 = time.perf_counter()
         getattr(self, f"_stage_{stage}")()
         wall = time.perf_counter() - t0
-        self._record(stage, key, wall)
+        shutil.rmtree(sdir, ignore_errors=True)
+        os.replace(tmp, sdir)
+
+        outputs = {}
+        for dirpath, _, names in os.walk(sdir):
+            for name in names:
+                path = os.path.join(dirpath, name)
+                outputs[os.path.relpath(path, self.out)] = _sha256_file(path)
+        self.manifest["stages"][stage] = {"cache_key": key, "outputs": outputs, "wall_clock_s": wall}
+        self._write_json("run_manifest.json", self.manifest)
+        os.replace(self._staged("run_manifest.json"), self.manifest_path)
         self._log(stage, "done", wall_clock_s=round(wall, 3))
         return False
-
-    def run(self, stages=STAGES) -> None:
-        for stage in stages:
-            self.run_stage(stage)
 
     # -- stages -------------------------------------------------------------
 
     def _stage_ingest(self) -> None:
         cfg = self.config.ingest
-        sdir = self.stage_dir("ingest")
-        os.makedirs(sdir, exist_ok=True)
         records: list[ingest_mod.MobilityRecord] = []
         sources: list[str] = []
         errors = 0
@@ -293,46 +314,28 @@ class Pipeline:
             sources.append(path)
 
         traces, build_stats = ingest_mod.build_traces(records)
-        manifest = ingest_mod.write_traces(traces, sdir, sources, errors)
-        manifest["build"] = {
-            "kept": build_stats.kept,
-            "deduped": build_stats.deduped,
-            "conflicts": build_stats.conflicts,
-        }
-        with open(os.path.join(sdir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        manifest = ingest_mod.write_traces(traces, self._staged("ingest"), sources, errors)
+        manifest["build"] = asdict(build_stats)
+        self._write_json("ingest/manifest.json", manifest)
 
         poi_path = cfg.get("poi_csv")
         if poi_path:
             with open(poi_path) as fh:
                 pois, _ = ingest_mod.parse_poi_file(fh, cfg["poi_column_map"])
-            with open(os.path.join(sdir, "pois.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["poi_id", "lat", "lon", "category"])
-                for p in sorted(pois, key=lambda p: p.poi_id):
-                    writer.writerow([p.poi_id, f"{p.lat:.6f}", f"{p.lon:.6f}", p.category])
+            self._write_table(
+                "pois",
+                ((p.poi_id, p.lat, p.lon, p.category) for p in sorted(pois, key=lambda p: p.poi_id)),
+            )
 
-    def _load_traces(self):
-        return ingest_mod.read_traces(self.stage_dir("ingest"))
-
-    def _load_pois(self) -> list[visits_mod.PoiRecord]:
-        path = os.path.join(self.stage_dir("ingest"), "pois.csv")
-        pois = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                pois.append(
-                    ingest_mod.PoiRecord(
-                        row["poi_id"], float(row["lat"]), float(row["lon"]), row["category"]
-                    )
-                )
-        return pois
+    def _load_pois(self) -> list[ingest_mod.PoiRecord]:
+        return [
+            ingest_mod.PoiRecord(r["poi_id"], float(r["lat"]), float(r["lon"]), r["category"])
+            for r in self._read_table("pois")
+        ]
 
     def _stage_quality(self) -> None:
         cfg = self.config.quality
-        sdir = self.stage_dir("quality")
-        os.makedirs(sdir, exist_ok=True)
-        traces = self._load_traces()
+        traces = ingest_mod.read_traces(self.stage_dir("ingest"))
 
         cells = quality_mod.grid_assessment(
             traces,
@@ -341,14 +344,14 @@ class Pipeline:
             p_hours=cfg["p_hours"],
             max_speed_kmh=cfg["max_speed_kmh"],
         )
-        with open(os.path.join(sdir, "reports.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "tau_h", "T_d", "mu_T", "mu_S"])
-            for (tau, t_days) in sorted(cells):
-                for rep in cells[(tau, t_days)].reports:
-                    writer.writerow(
-                        [rep.user_id, f"{tau:g}", t_days, f"{rep.mu_t:.12g}", f"{rep.mu_s:.12g}"]
-                    )
+        self._write_table(
+            "reports",
+            (
+                (rep.user_id, tau, t_days, rep.mu_t, rep.mu_s)
+                for (tau, t_days) in sorted(cells)
+                for rep in cells[(tau, t_days)].reports
+            ),
+        )
         hist = {
             f"tau={tau:g},T={t}": {
                 "mu_t_hist": cell.histogram("mu_t"),
@@ -359,9 +362,7 @@ class Pipeline:
             for (tau, t), cell in sorted(cells.items())
         }
         hist["_meta"] = {"aggregation": "per-day mean of day scores"}
-        with open(os.path.join(sdir, "histograms.json"), "w") as fh:
-            json.dump(hist, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self._write_json("quality/histograms.json", hist)
 
         cohort_cell = cells.get((float(cfg["tau_hours"]), int(cfg["t_days"])))
         if cohort_cell is None:
@@ -374,28 +375,12 @@ class Pipeline:
         else:
             reports = cohort_cell.reports
         cohort = quality_mod.select_cohort(reports, cfg["mu_t_min"], cfg["mu_s_min"])
-        with open(os.path.join(sdir, "cohort.json"), "w") as fh:
-            json.dump(
-                {
-                    "users": cohort,
-                    "tau_hours": cfg["tau_hours"],
-                    "t_days": cfg["t_days"],
-                    "mu_t_min": cfg["mu_t_min"],
-                    "mu_s_min": cfg["mu_s_min"],
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        self._write_json("quality/cohort.json", {"users": cohort, **{k: cfg[k] for k in COHORT_PARAMS}})
 
     def _stage_visits(self) -> None:
         cfg = self.config.visits
-        sdir = self.stage_dir("visits")
-        os.makedirs(sdir, exist_ok=True)
-        with open(os.path.join(self.stage_dir("quality"), "cohort.json")) as fh:
-            cohort = json.load(fh)["users"]
-        traces = self._load_traces()
+        cohort = self._read_json("quality/cohort.json")["users"]
+        traces = ingest_mod.read_traces(self.stage_dir("ingest"))
         pois = self._load_pois()
         index = visits_mod.SpatialIndex(pois, cell_m=cfg["snap_radius_m"])
 
@@ -408,84 +393,47 @@ class Pipeline:
             visits_mod.snap_visits(vs, index, cfg["snap_radius_m"])
             all_visits += vs
 
-        with open(os.path.join(sdir, "visits.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "poi_id", "arrival", "departure", "dwell_s", "lat", "lon"])
-            for v in all_visits:
-                writer.writerow(
-                    [
-                        v.user_id,
-                        v.poi_id or "",
-                        v.arrival.isoformat(),
-                        v.departure.isoformat(),
-                        f"{v.dwell_s:.12g}",
-                        f"{v.lat:.6f}",
-                        f"{v.lon:.6f}",
-                    ]
-                )
+        self._write_table(
+            "visits",
+            (
+                (v.user_id, v.poi_id, v.arrival.isoformat(), v.departure.isoformat(),
+                 v.dwell_s, v.lat, v.lon)
+                for v in all_visits
+            ),
+        )
         features, unsnapped = visits_mod.aggregate_features(all_visits)
-        with open(os.path.join(sdir, "features.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "poi_id", "n_days", "mean_dwell_h", "n_visits", "total_dwell_h"])
-            for f in features:
-                writer.writerow(
-                    [
-                        f.user_id,
-                        f.poi_id,
-                        f.n_days,
-                        f"{f.mean_dwell_h:.12g}",
-                        f.n_visits,
-                        f"{f.total_dwell_s / 3600.0:.12g}",
-                    ]
-                )
-        with open(os.path.join(sdir, "meta.json"), "w") as fh:
-            json.dump(
-                {
-                    "n_visits": len(all_visits),
-                    "n_unsnapped": unsnapped,
-                    "note": "visits realized by anchor-based stay-point detection",
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-
-    def _load_features(self) -> list[visits_mod.VisitFeature]:
-        path = os.path.join(self.stage_dir("visits"), "features.csv")
-        features = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                features.append(
-                    visits_mod.VisitFeature(
-                        row["user_id"],
-                        row["poi_id"],
-                        int(row["n_days"]),
-                        int(row["n_visits"]),
-                        float(row["total_dwell_h"]) * 3600.0,
-                    )
-                )
-        return features
+        self._write_table(
+            "features",
+            (
+                (f.user_id, f.poi_id, f.n_days, f.mean_dwell_h, f.n_visits, f.total_dwell_s / 3600.0)
+                for f in features
+            ),
+        )
+        self._write_json(
+            "visits/meta.json",
+            {
+                "n_visits": len(all_visits),
+                "n_unsnapped": unsnapped,
+                "note": "visits realized by anchor-based stay-point detection",
+            },
+        )
 
     def _feature_matrix(self) -> visits_mod.FeatureMatrix:
-        return visits_mod.feature_matrix(self._load_features(), self.config.model["transform"])
+        features = [
+            visits_mod.VisitFeature(
+                r["user_id"], r["poi_id"], int(r["n_days"]), int(r["n_visits"]),
+                float(r["total_dwell_h"]) * 3600.0,
+            )
+            for r in self._read_table("features")
+        ]
+        return visits_mod.feature_matrix(features, self.config.model["transform"])
 
-    def _gmm_params(self, k=None, cov_kind=None) -> model_mod.GmmParams:
-        cfg = self.config.model
-        return model_mod.GmmParams(
-            k=k if k is not None else cfg["k"],
-            cov_kind=cov_kind if cov_kind is not None else cfg["cov_kind"],
-            seed=cfg["seed"],
-            max_iter=cfg["max_iter"],
-            tol=cfg["tol"],
-            reg_covar=cfg["reg_covar"],
-            n_init=cfg["n_init"],
-        )
+    def _gmm_params(self) -> model_mod.GmmParams:
+        fields = ("k", "cov_kind", "seed", "max_iter", "tol", "reg_covar", "n_init")
+        return model_mod.GmmParams(**{f: self.config.model[f] for f in fields})
 
     def _stage_fit(self) -> None:
         cfg = self.config.model
-        sdir = self.stage_dir("fit")
-        os.makedirs(sdir, exist_ok=True)
         fm = self._feature_matrix()
 
         if cfg["run_sweep"]:
@@ -495,124 +443,68 @@ class Pipeline:
                 params=self._gmm_params(),
                 selected=(cfg["k"], cfg["cov_kind"]),
             )
-            with open(os.path.join(sdir, "sweep.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["k", "cov_kind", "loglik", "bic", "aic", "converged"])
-                for cell in result.rows():
-                    writer.writerow(
-                        [
-                            cell.k,
-                            cell.cov_kind,
-                            f"{cell.loglik:.12g}",
-                            f"{cell.bic:.12g}",
-                            f"{cell.aic:.12g}",
-                            cell.converged,
-                        ]
-                    )
-            with open(os.path.join(sdir, "sweep_meta.json"), "w") as fh:
-                json.dump(
-                    {
-                        "selected_k": cfg["k"],
-                        "selected_cov_kind": cfg["cov_kind"],
-                        "elbow_k": result.elbow_k,
-                        "elbow_flag": result.elbow_flag,
-                    },
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                )
-                fh.write("\n")
+            self._write_table(
+                "sweep",
+                ((c.k, c.cov_kind, c.loglik, c.bic, c.aic, c.converged) for c in result.rows()),
+            )
+            self._write_json(
+                "fit/sweep_meta.json",
+                {
+                    "selected_k": cfg["k"],
+                    "selected_cov_kind": cfg["cov_kind"],
+                    "elbow_k": result.elbow_k,
+                    "elbow_flag": result.elbow_flag,
+                },
+            )
 
         model = model_mod.fit_gmm(fm.x, self._gmm_params())
         doc = model.to_dict()
         doc["seed"] = cfg["seed"]
         doc["transform"] = fm.transform
-        with open(os.path.join(sdir, "model.json"), "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def _load_model(self) -> model_mod.GmmModel:
-        with open(os.path.join(self.stage_dir("fit"), "model.json")) as fh:
-            return model_mod.GmmModel.from_dict(json.load(fh))
-
-    def _labeling_rules(self) -> classify_mod.LabelingRules:
-        cfg = self.config.classify
-        return classify_mod.LabelingRules(
-            dwell_override_h=cfg["dwell_override_h"],
-            override_enabled=cfg["override_enabled"],
-        )
+        self._write_json("fit/model.json", doc)
 
     def _stage_classify(self) -> None:
-        sdir = self.stage_dir("classify")
-        os.makedirs(sdir, exist_ok=True)
         fm = self._feature_matrix()
-        model = self._load_model()
-        rules = self._labeling_rules()
+        model = model_mod.GmmModel.from_dict(self._read_json("fit/model.json"))
+        rules = classify_mod.LabelingRules(**self.config.classify)
         labeling = classify_mod.assign_labels(model, fm, rules)
         labeled = classify_mod.classify_features(fm, model, labeling, rules)
 
-        with open(os.path.join(sdir, "labeled_features.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "poi_id", "n_days", "mean_dwell_h", "component", "label"])
-            for lf in labeled:
-                writer.writerow(
-                    [
-                        lf.user_id,
-                        lf.poi_id,
-                        f"{lf.n_days:g}",
-                        f"{lf.mean_dwell_h:.12g}",
-                        lf.component,
-                        lf.label,
-                    ]
-                )
-        with open(os.path.join(sdir, "labeling.json"), "w") as fh:
-            json.dump(labeling.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self._write_table(
+            "labeled_features",
+            (
+                (lf.user_id, lf.poi_id, lf.n_days, lf.mean_dwell_h, lf.component, lf.label)
+                for lf in labeled
+            ),
+        )
+        self._write_json("classify/labeling.json", labeling.to_dict())
 
     def _load_labeled_features(self) -> list[classify_mod.LabeledFeature]:
-        path = os.path.join(self.stage_dir("classify"), "labeled_features.csv")
-        out = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                out.append(
-                    classify_mod.LabeledFeature(
-                        row["user_id"],
-                        row["poi_id"],
-                        float(row["n_days"]),
-                        float(row["mean_dwell_h"]),
-                        int(row["component"]),
-                        row["label"],
-                    )
-                )
-        return out
+        return [
+            classify_mod.LabeledFeature(
+                r["user_id"], r["poi_id"], float(r["n_days"]), float(r["mean_dwell_h"]),
+                int(r["component"]), r["label"],
+            )
+            for r in self._read_table("labeled_features")
+        ]
 
     def _load_visits(self) -> list[visits_mod.Visit]:
-        from datetime import datetime
-
-        path = os.path.join(self.stage_dir("visits"), "visits.csv")
-        out = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                out.append(
-                    visits_mod.Visit(
-                        row["user_id"],
-                        float(row["lat"]),
-                        float(row["lon"]),
-                        datetime.fromisoformat(row["arrival"]),
-                        datetime.fromisoformat(row["departure"]),
-                        row["poi_id"] or None,
-                    )
-                )
-        return out
+        return [
+            visits_mod.Visit(
+                r["user_id"], float(r["lat"]), float(r["lon"]),
+                datetime.fromisoformat(r["arrival"]), datetime.fromisoformat(r["departure"]),
+                r["poi_id"] or None,
+            )
+            for r in self._read_table("visits")
+        ]
 
     def _stage_patterns(self) -> None:
         cfg = self.config.patterns
-        sdir = self.stage_dir("patterns")
-        os.makedirs(sdir, exist_ok=True)
         labeled = self._load_labeled_features()
         visits = self._load_visits()
         lvisits = patterns_mod.label_visits(visits, labeled)
         categories = {p.poi_id: p.category for p in self._load_pois()}
+        labels = patterns_mod.LABELS
 
         by_user: dict[str, list] = {}
         for lv in lvisits:
@@ -621,16 +513,15 @@ class Pipeline:
             user: patterns_mod.transition_matrix(user, patterns_mod.visit_sequence(vs))
             for user, vs in sorted(by_user.items())
         }
-        with open(os.path.join(sdir, "transitions.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "from", "to", "count", "prob"])
-            for user in sorted(matrices):
-                tm = matrices[user]
-                for i, a in enumerate(patterns_mod.LABELS):
-                    for j, b in enumerate(patterns_mod.LABELS):
-                        writer.writerow(
-                            [user, a, b, int(tm.counts[i, j]), f"{tm.probs[i, j]:.12g}"]
-                        )
+        self._write_table(
+            "transitions",
+            (
+                (user, a, b, int(tm.counts[i, j]), tm.probs[i, j])
+                for user, tm in sorted(matrices.items())
+                for i, a in enumerate(labels)
+                for j, b in enumerate(labels)
+            ),
+        )
 
         motif_doc = {"k_m": cfg["k_m"], "note": "fewer users than k_m; clustering skipped"}
         nonzero = {u: m for u, m in matrices.items() if m.counts.sum() > 0}
@@ -644,71 +535,64 @@ class Pipeline:
                 "centroids": motifs.centroids.tolist(),
                 "inertia": motifs.inertia,
             }
-        with open(os.path.join(sdir, "motif_centroids.json"), "w") as fh:
-            json.dump(motif_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self._write_json("patterns/motif_centroids.json", motif_doc)
 
         semantic = patterns_mod.semantic_top_k(lvisits, categories, k=cfg["top_k"])
-        with open(os.path.join(sdir, "semantic_profile.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "rank", "category", "share"])
-            for lab in patterns_mod.LABELS:
-                for rank, (cat, share) in enumerate(semantic.top[lab], start=1):
-                    writer.writerow([lab, rank, cat, f"{share:.12g}"])
+        self._write_table(
+            "semantic_profile",
+            (
+                (lab, rank, cat, share)
+                for lab in labels
+                for rank, (cat, share) in enumerate(semantic.top[lab], start=1)
+            ),
+        )
 
         n_weeks = self.config.quality["t_days"] / 7.0
         profile = patterns_mod.temporal_profile(lvisits, n_weeks)
-        with open(os.path.join(sdir, "temporal_profile.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "dow", "hour", "intensity"])
-            for lab in patterns_mod.LABELS:
-                mat = profile.intensity[lab]
-                for dow in range(7):
-                    for hour in range(24):
-                        writer.writerow([lab, dow, hour, f"{mat[dow, hour]:.12g}"])
+        self._write_table(
+            "temporal_profile",
+            (
+                (lab, dow, hour, profile.intensity[lab][dow, hour])
+                for lab in labels
+                for dow in range(7)
+                for hour in range(24)
+            ),
+        )
 
         grid = patterns_mod.spatial_grid(lvisits, cell_deg=cfg["cell_deg"])
-        with open(os.path.join(sdir, "spatial_grid.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "lat_idx", "lon_idx", "count"])
-            for lab in patterns_mod.LABELS:
-                for (i, j) in sorted(grid.counts[lab]):
-                    writer.writerow([lab, i, j, grid.counts[lab][(i, j)]])
-        with open(os.path.join(sdir, "grid_meta.json"), "w") as fh:
-            json.dump(
-                {
-                    "cell_deg": grid.cell_deg,
-                    "lat0": grid.lat0,
-                    "lon0": grid.lon0,
-                    "normalization": profile.mode,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        self._write_table(
+            "spatial_grid",
+            (
+                (lab, i, j, grid.counts[lab][(i, j)])
+                for lab in labels
+                for (i, j) in sorted(grid.counts[lab])
+            ),
+        )
+        self._write_json(
+            "patterns/grid_meta.json",
+            {
+                "cell_deg": grid.cell_deg,
+                "lat0": grid.lat0,
+                "lon0": grid.lon0,
+                "normalization": profile.mode,
+            },
+        )
 
     def _stage_report(self) -> None:
-        sdir = self.stage_dir("report")
-        os.makedirs(sdir, exist_ok=True)
-        with open(os.path.join(self.stage_dir("quality"), "cohort.json")) as fh:
-            cohort = json.load(fh)
+        cohort = self._read_json("quality/cohort.json")
         labeled = self._load_labeled_features()
         label_counts = {lab: 0 for lab in classify_mod.LABELS}
         for lf in labeled:
             label_counts[lf.label] += 1
 
         sweep_rows = []
-        sweep_path = os.path.join(self.stage_dir("fit"), "sweep.csv")
-        if os.path.exists(sweep_path):
-            with open(sweep_path, newline="") as fh:
-                sweep_rows = list(csv.DictReader(fh))
-        with open(os.path.join(self.stage_dir("fit"), "model.json")) as fh:
-            model_doc = json.load(fh)
+        if os.path.exists(os.path.join(self.out, TABLES["sweep"][0])):
+            sweep_rows = self._read_table("sweep")
+        model_doc = self._read_json("fit/model.json")
 
         summary = {
             "cohort_size": len(cohort["users"]),
-            "cohort_params": {k: cohort[k] for k in ("tau_hours", "t_days", "mu_t_min", "mu_s_min")},
+            "cohort_params": {k: cohort[k] for k in COHORT_PARAMS},
             "label_counts": label_counts,
             "n_features": len(labeled),
             "selected_model": {
@@ -719,9 +603,7 @@ class Pipeline:
             },
             "sweep_table": sweep_rows,
         }
-        with open(os.path.join(sdir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self._write_json("report/summary.json", summary)
         lines = [
             "visitscope run summary",
             "======================",
@@ -733,5 +615,5 @@ class Pipeline:
             f"loglik={summary['selected_model']['loglik']:.6g}",
             f"sweep cells: {len(sweep_rows)}",
         ]
-        with open(os.path.join(sdir, "summary.txt"), "w") as fh:
+        with open(self._staged("report/summary.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")

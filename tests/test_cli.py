@@ -163,3 +163,83 @@ def test_config_change_invalidates_cache(fixture_root, tmp_path, capsys):
         by_stage.setdefault(e["stage"], []).append(e["event"])
     assert by_stage["ingest"] == ["cache-hit"]
     assert "done" in by_stage["quality"]
+
+
+def tree_files(out):
+    """relative path -> bytes of every artifact under ``out`` except run_manifest.json."""
+    files = {}
+    for dirpath, _, names in os.walk(out):
+        for name in names:
+            rel = os.path.relpath(os.path.join(dirpath, name), out)
+            if rel != "run_manifest.json":
+                with open(os.path.join(out, rel), "rb") as fh:
+                    files[rel] = fh.read()
+    return files
+
+
+def test_rerun_without_sweep_drops_sweep_artifacts(completed_run, tmp_path):
+    config, out = completed_run
+    rerun = str(tmp_path / "out")
+    shutil.copytree(out, rerun)
+    with open(config) as fh:
+        raw = json.load(fh)
+    raw["model"]["run_sweep"] = False
+    with open(tmp_path / "config.json", "w") as fh:
+        json.dump(raw, fh)
+    assert main(["all", "--config", str(tmp_path / "config.json"), "--out", rerun]) == 0
+    assert not os.path.exists(os.path.join(rerun, "fit", "sweep.csv"))
+    assert not os.path.exists(os.path.join(rerun, "fit", "sweep_meta.json"))
+    with open(os.path.join(rerun, "report", "summary.json")) as fh:
+        assert json.load(fh)["sweep_table"] == []
+    with open(os.path.join(rerun, "report", "summary.txt")) as fh:
+        assert "sweep cells: 0" in fh.read()
+    assert not [name for name in os.listdir(rerun) if name.startswith(".")]
+
+
+def test_truncated_manifest_is_runtime_error(completed_run, tmp_path, capsys):
+    config, out = completed_run
+    broken = str(tmp_path / "out")
+    shutil.copytree(out, broken)
+    path = os.path.join(broken, "run_manifest.json")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    capsys.readouterr()
+    assert main(["all", "--config", config, "--out", broken]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "run manifest" in err and "Traceback" not in err
+
+
+def test_t_days_change_refreshes_patterns(fixture_root, tmp_path):
+    """A T edit that keeps the cohort must still renormalise the temporal profile."""
+    root, poi_csv = fixture_root
+    config = write_config(
+        str(tmp_path / "config.json"), root, poi_csv, str(tmp_path / "edited"),
+        model={"run_sweep": False},
+    )
+    assert main(["all", "--config", config]) == 0
+    assert main(["all", "--config", config, "--T", "5"]) == 0
+    fresh = str(tmp_path / "fresh")
+    assert main(["all", "--config", config, "--T", "5", "--out", fresh]) == 0
+    with open(os.path.join(fresh, "quality", "cohort.json")) as fh:
+        assert len(json.load(fh)["users"]) == 8  # the edit keeps the cohort
+    edited, expected = tree_files(str(tmp_path / "edited")), tree_files(fresh)
+    assert edited["patterns/temporal_profile.csv"] == expected["patterns/temporal_profile.csv"]
+    assert edited == expected
+
+
+def test_rerun_replaces_the_stage_directory_whole(completed_run, tmp_path):
+    config, out = completed_run
+    run = str(tmp_path / "out")
+    shutil.copytree(out, run)
+    os.makedirs(os.path.join(run, ".quality.tmp"))  # as a crash inside the stage leaves it
+    for rel in (".quality.tmp/partial.csv", "quality/stale.csv"):
+        with open(os.path.join(run, rel), "w") as fh:
+            fh.write("x\n")
+    assert main(["quality", "--config", config, "--out", run, "--mu-t-min", "0.9"]) == 0
+    assert not os.path.exists(os.path.join(run, ".quality.tmp"))
+    assert sorted(os.listdir(os.path.join(run, "quality"))) == [
+        "cohort.json", "histograms.json", "reports.csv",
+    ]

@@ -1,4 +1,5 @@
 import io
+import os
 from datetime import datetime
 
 import pytest
@@ -154,5 +155,20 @@ def test_write_read_roundtrip(tmp_path):
     assert set(loaded) == {"a", "b"}
     # 6-decimal coordinate precision preserved on round trip
     assert loaded["a"].records[0].lat == pytest.approx(39.123457, abs=1e-9)
+    for trace in loaded.values():
+        trace.check()
+
+
+def test_user_ids_stay_inside_the_trace_store(tmp_path):
+    traces, _ = build_traces([rec("../x", 10), rec("../x", 20), rec("a", 5)])
+    store = tmp_path / "store"
+    write_traces(traces, str(store))
+    assert os.listdir(tmp_path) == ["store"]
+    assert os.listdir(store) == ["traces"]
+    assert sorted(os.listdir(store / "traces")) == ["..%2Fx.csv", "a.csv"]
+    loaded = read_traces(str(store))
+    assert {u: [r.t for r in t.records] for u, t in loaded.items()} == {
+        u: [r.t for r in t.records] for u, t in traces.items()
+    }
     for trace in loaded.values():
         trace.check()
