@@ -380,7 +380,7 @@ class Pipeline:
     def _stage_visits(self) -> None:
         cfg = self.config.visits
         cohort = self._read_json("quality/cohort.json")["users"]
-        traces = ingest_mod.read_traces(self.stage_dir("ingest"))
+        traces = ingest_mod.read_traces(self.stage_dir("ingest"), users=cohort)
         pois = self._load_pois()
         index = visits_mod.SpatialIndex(pois, cell_m=cfg["snap_radius_m"])
 

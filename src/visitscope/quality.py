@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
+
+import numpy as np
 
 from .ingest import MobilityTrace
 
@@ -58,6 +60,12 @@ def haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
+def _offsets(trace: MobilityTrace, window_start: datetime) -> np.ndarray:
+    """Seconds from ``window_start`` to each record, exactly as ``timedelta.total_seconds``."""
+    recs = trace.records
+    return np.fromiter(((r.t - window_start).total_seconds() for r in recs), float, len(recs))
+
+
 def temporal_completeness(
     trace: MobilityTrace, params: CompletenessParams, window_start: datetime
 ) -> tuple[list[float], float]:
@@ -70,38 +78,34 @@ def temporal_completeness(
     """
     if params.t_days < 1:
         raise ValueError("T must be >= 1")
+    return _temporal_from_offsets(_offsets(trace, window_start), params)
+
+
+def _temporal_from_offsets(off: np.ndarray, params: CompletenessParams) -> tuple[list[float], float]:
+    """:func:`temporal_completeness` of the records at window offsets ``off`` (seconds)."""
     tau_s = params.tau_hours * 3600.0
     p_s = params.p_hours * 3600.0
     n_bins = params.n_bins
-    window_s = params.t_days * SECONDS_PER_DAY
 
-    covered: dict[int, set[int]] = {}
-    for rec in trace.records:
-        off = (rec.t - window_start).total_seconds()
-        if off < 0 or off >= window_s:
-            continue
-        day = int(off // SECONDS_PER_DAY)
-        day_off = off - day * SECONDS_PER_DAY
-        # bins are half-open ]((i-1)tau, i*tau], so an offset exactly at a day
-        # origin closes the previous day's last bin (the window start itself
-        # hits the empty bin 0 and is dropped)
-        if day_off == 0.0:
-            day -= 1
-            day_off = SECONDS_PER_DAY
-            if day < 0:
-                continue
-        # exact-edge check keeps boundary offsets in the lower bin regardless
-        # of division rounding
-        bin_idx = int(math.floor(day_off / tau_s)) + 1
-        if day_off == (bin_idx - 1) * tau_s:
-            bin_idx -= 1
-        if 1 <= bin_idx <= n_bins:
-            covered.setdefault(day, set()).add(bin_idx)
+    off = off[(off >= 0) & (off < params.t_days * SECONDS_PER_DAY)]
+    day = np.floor_divide(off, SECONDS_PER_DAY)
+    day_off = off - day * SECONDS_PER_DAY
+    # bins are half-open ]((i-1)tau, i*tau], so an offset exactly at a day
+    # origin closes the previous day's last bin (the window start itself
+    # hits the empty bin 0 and is dropped)
+    origin = day_off == 0.0
+    day[origin] -= 1.0
+    day_off[origin] = SECONDS_PER_DAY
+    # exact-edge check keeps boundary offsets in the lower bin regardless
+    # of division rounding
+    bin_idx = np.floor(day_off / tau_s) + 1.0
+    bin_idx[day_off == (bin_idx - 1.0) * tau_s] -= 1.0
+    keep = (day >= 0) & (bin_idx >= 1) & (bin_idx <= n_bins)
 
-    per_day = []
-    for day in range(params.t_days):
-        score = (tau_s / p_s) * len(covered.get(day, ()))
-        per_day.append(min(1.0, max(0.0, score)))
+    # distinct (day, bin) pairs, each held exactly as day + 1j * bin
+    covered = np.unique(day[keep] + 1j * bin_idx[keep]).real.astype(np.int64)
+    counts = np.bincount(covered, minlength=params.t_days)[: params.t_days]
+    per_day = [min(1.0, max(0.0, (tau_s / p_s) * n)) for n in counts.tolist()]
     mu_t = sum(per_day) / params.t_days
     return per_day, min(1.0, max(0.0, mu_t))
 
@@ -189,19 +193,22 @@ def grid_assessment(
     p_hours: float = 24.0,
     max_speed_kmh: float = 150.0,
 ) -> dict[tuple[float, int], GridCell]:
-    """Completeness distribution for every (tau, T) cell of the parameter grid."""
-    cells: dict[tuple[float, int], GridCell] = {}
-    for tau in tau_set:
-        tau = float(tau)
-        for t_days in t_set:
-            t_days = int(t_days)
-            params = CompletenessParams(p_hours, tau, t_days, max_speed_kmh)
-            reports = [
-                assess_user(traces[user], params)
-                for user in sorted(traces)
-                if traces[user].records
-            ]
-            cells[(tau, t_days)] = GridCell(tau, t_days, reports)
+    """Completeness distribution for every (tau, T) cell of the parameter grid.
+
+    Each user's window offsets and mu_S (which reads only P and the speed
+    cap) are computed once and shared by every cell.
+    """
+    cells = {(float(tau), int(t)): GridCell(float(tau), int(t), []) for tau in tau_set for t in t_set}
+    params = {key: CompletenessParams(p_hours, *key, max_speed_kmh) for key in cells}
+    for user in sorted(traces):
+        trace = traces[user]
+        if not trace.records or not cells:
+            continue
+        off = _offsets(trace, default_window_start(trace))
+        mu_s = spatial_completeness(trace, next(iter(params.values())))
+        for key, cell in cells.items():
+            per_day, mu_t = _temporal_from_offsets(off, params[key])
+            cell.reports.append(CompletenessReport(user, mu_t, mu_s, per_day, params[key]))
     return cells
 
 

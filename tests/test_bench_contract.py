@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` patches functions by name, so renaming ``Pipeline.run_stage``,
 ``Pipeline.stage_dir``, ``ingest.read_traces`` or any other wrapped function, or
-changing how the pipeline calls them, breaks the benchmark's traced run.
+changing how the pipeline calls them, breaks the benchmark's traced run:
+``Tracer.install`` raises ``KeyError`` for a name that no longer exists.
 """
 
 import json
@@ -29,7 +30,7 @@ def test_traced_cli_run_reports_every_layer(tmp_path):
             "poi_csv": poi_csv,
             "poi_column_map": {k: k for k in ("poi_id", "lat", "lon", "category")},
         },
-        "quality": {"t_days": 7, "tau_set": [1.0], "t_set": [7]},
+        "quality": {"t_days": 7, "tau_set": [1.0, 4.0], "t_set": [7]},
         "model": {"k_max": 2, "n_init": 1},
         "patterns": {"k_m": 2},
     }))
@@ -53,6 +54,8 @@ def test_traced_cli_run_reports_every_layer(tmp_path):
     assert metrics["ingest.records"] > 0
     assert metrics["ingest.read_traces_calls"] >= 1
     assert metrics["ingest.store_bytes"] > 0
+    # mu_S reads neither tau nor T: one spatial_completeness call per user, not per grid cell
+    assert metrics["quality.spatial_calls"] == 4
     assert metrics["model.sweep_s"] > 0 and metrics["model.em_iters"] > 0
     assert metrics["visits.stay_points"] > 0
     assert metrics["patterns.profiles_s"] > 0

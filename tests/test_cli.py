@@ -4,9 +4,10 @@ import shutil
 
 import pytest
 
+from visitscope import ingest
 from visitscope.cli import main
 
-from synth import make_geolife_fixture
+from synth import START, make_geolife_fixture, write_plt
 
 POI_COLUMNS = {"poi_id": "poi_id", "lat": "lat", "lon": "lon", "category": "category"}
 
@@ -243,3 +244,28 @@ def test_rerun_replaces_the_stage_directory_whole(completed_run, tmp_path):
     assert sorted(os.listdir(os.path.join(run, "quality"))) == [
         "cohort.json", "histograms.json", "reports.csv",
     ]
+
+
+def test_visits_loads_only_the_cohort(fixture_root, tmp_path, monkeypatch):
+    root, poi_csv = fixture_root
+    tree = str(tmp_path / "geolife")
+    shutil.copytree(root, tree)
+    os.makedirs(os.path.join(tree, "sparse", "Trajectory"))
+    write_plt(os.path.join(tree, "sparse", "Trajectory", "x.plt"), [(39.9, 116.3, START)])
+    loaded = []
+    read_traces = ingest.read_traces
+
+    def recording_read_traces(*args, **kwargs):
+        traces = read_traces(*args, **kwargs)
+        loaded.append(sorted(traces))
+        return traces
+
+    monkeypatch.setattr(ingest, "read_traces", recording_read_traces)
+    out = str(tmp_path / "out")
+    config = write_config(str(tmp_path / "config.json"), tree, poi_csv, out)
+    for stage in ("ingest", "quality", "visits"):
+        assert main([stage, "--config", config]) == 0
+    with open(os.path.join(out, "quality", "cohort.json")) as fh:
+        cohort = json.load(fh)["users"]
+    assert len(cohort) == 8 and "sparse" not in cohort
+    assert loaded == [cohort + ["sparse"], cohort]

@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 from datetime import datetime
 
@@ -37,6 +38,54 @@ def test_parse_plt_bad_latitude_skipped():
     body = "91.0,116.3,0,492,39744.12,2008-10-23,02:53:04\n"
     records, stats = parse_plt(io.StringIO(PLT_HEADER + body), "u")
     assert records == [] and stats.skipped == 1
+
+
+PLT_STAMPS = [
+    ("2008-10-23", "02:53:04"),
+    ("2024-1-1", "1:2:3"),
+    ("2024-01-01", "0:0:0"),
+    ("2024-01- 1", "00:00:00"),
+    ("2024-01-01 ", "00:00:00"),
+    ("2024-01-01", "02:53:04.5"),
+    ("2024-01-01", "02:53:04.000001"),
+    ("2024-01-01", "02:53:04+08:00"),
+    ("2024-01-01T02:53:04", "02:53:04"),
+    ("2024/01/01", "02:53:04"),
+    ("\u0662\u0660\u0662\u0664-01-01", "00:00:00"),
+    ("\uff12\uff10\uff12\uff14-01-01", "00:00:00"),
+    ("2024-01-01", "\u0660\u0662:53:04"),
+    ("2024-12-31", "23:59:60"),
+    ("2024-02-30", "00:00:00"),
+    ("2023-02-29", "00:00:00"),
+    ("2024-02-29", "00:00:00"),
+    ("2024-01-01", ""),
+    ("", "00:00:00"),
+] + [
+    (f"{y}-{m}-{d}", f"{hh}:{mm}:{ss}")
+    for y, m, d, hh, mm, ss in itertools.product(
+        ("0000", "0001", "2024", "9999"),
+        ("00", "01", "12", "13"),
+        ("00", "01", "29", "31", "32"),
+        ("00", "23", "24"),
+        ("00", "59", "60"),
+        ("00", "59", "60", "61"),
+    )
+]
+
+
+def test_parse_plt_timestamps_match_strptime():
+    # every line is parsed or skipped exactly as strptime decides, with the same datetime
+    body = "".join(f"39.9,116.3,0,0,1.0,{date},{time}\n" for date, time in PLT_STAMPS)
+    records, stats = parse_plt(io.StringIO(PLT_HEADER + body), "u")
+    want = []
+    for date, time in PLT_STAMPS:
+        try:
+            want.append(datetime.strptime(date + " " + time, "%Y-%m-%d %H:%M:%S"))
+        except ValueError:
+            pass
+    assert 0 < len(want) < len(PLT_STAMPS)
+    assert [r.t for r in records] == want
+    assert stats.parsed_ok == len(want) and stats.skipped == len(PLT_STAMPS) - len(want)
 
 
 def test_parse_plt_bytes_and_malformed():
@@ -157,6 +206,16 @@ def test_write_read_roundtrip(tmp_path):
     assert loaded["a"].records[0].lat == pytest.approx(39.123457, abs=1e-9)
     for trace in loaded.values():
         trace.check()
+
+
+def test_read_traces_loads_only_the_listed_users(tmp_path):
+    traces, _ = build_traces([rec("a", 10), rec("b", 5), rec("../x", 10), rec("../x", 20)])
+    write_traces(traces, str(tmp_path))
+    loaded = read_traces(str(tmp_path), users=["b", "../x", "missing"])
+    assert list(loaded) == ["../x", "b"]
+    assert [r.t for r in loaded["../x"].records] == [r.t for r in traces["../x"].records]
+    assert all(r.user_id == "../x" for r in loaded["../x"].records)
+    assert read_traces(str(tmp_path), users=[]) == {}
 
 
 def test_user_ids_stay_inside_the_trace_store(tmp_path):

@@ -63,6 +63,31 @@ def oracle_spatial(trace, params):
     return good / total if total else 1.0
 
 
+def scalar_temporal(trace, params, window_start):
+    """Record-by-record reference for temporal_completeness: the same float arithmetic, no numpy."""
+    tau_s = params.tau_hours * 3600.0
+    p_s = params.p_hours * 3600.0
+    covered = {}
+    for rec in trace.records:
+        off = (rec.t - window_start).total_seconds()
+        if off < 0 or off >= params.t_days * 86400.0:
+            continue
+        day = int(off // 86400.0)
+        day_off = off - day * 86400.0
+        if day_off == 0.0:
+            day -= 1
+            day_off = 86400.0
+            if day < 0:
+                continue
+        bin_idx = int(math.floor(day_off / tau_s)) + 1
+        if day_off == (bin_idx - 1) * tau_s:
+            bin_idx -= 1
+        if 1 <= bin_idx <= params.n_bins:
+            covered.setdefault(day, set()).add(bin_idx)
+    per_day = [min(1.0, max(0.0, (tau_s / p_s) * len(covered.get(d, ())))) for d in range(params.t_days)]
+    return per_day, min(1.0, max(0.0, sum(per_day) / params.t_days))
+
+
 def haversine_reference(lat1, lon1, lat2, lon2):
     # spherical law of cosines via atan2, numerically robust reference
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
@@ -296,6 +321,59 @@ def test_grid_assessment_daytime_only_cohort():
     rep = cells[(1.0, 7)].reports[0]
     assert rep.mu_t == pytest.approx(0.5)
     assert all(day == pytest.approx(0.5) for day in rep.per_day)
+
+
+GRID_TAUS = (1.0, 4.0, 5.0, 6.0)
+GRID_TS = (1, 7, 15, 30)
+
+
+def edge_traces(rng):
+    """Traces with fixes on day origins, on tau edges, before the window start and after T."""
+    edges = [d * 86400.0 for d in range(32)] + [h * 3600.0 for h in range(24 * 31)]
+    yield "edges", trace_from_offsets("edges", sorted(edges))
+    yield "near", trace_from_offsets(
+        "near", sorted(e + s for e in edges[::7] for s in (-1e-6, 1e-6, 0.5))
+    )
+    late = trace_from_offsets("late", [3600.0 * 5, 7 * 86400.0, 15 * 86400.0, 30 * 86400.0, 40 * 86400.0])
+    yield "late", late
+    # unsorted: the window starts at the first record's midnight, so later-listed
+    # records can fall before it
+    early = trace_from_offsets("early", [-86400.0 * 2, -1e-6, -3600.0]).records
+    yield "before", MobilityTrace("before", [late.records[1]] + early + late.records[2:])
+    yield "one", trace_from_offsets("one", [3600.0 * 7 + 0.25])
+    yield "empty", MobilityTrace("empty", [])
+    for i in range(30):
+        trace = random_trace(rng, t_days=int(rng.choice([2, 8, 31])), user=f"r{i:02d}")
+        yield trace.user_id, trace
+
+
+@pytest.mark.filterwarnings("ignore:trace .* mu_S defaults to 1.0")
+def test_grid_cells_equal_assess_user():
+    traces = dict(edge_traces(np.random.default_rng(9)))
+    cells = grid_assessment(traces, tau_set=GRID_TAUS, t_set=GRID_TS)
+    assert list(cells) == [(tau, t) for tau in GRID_TAUS for t in GRID_TS]
+    users = sorted(u for u, tr in traces.items() if tr.records)
+    for (tau, t_days), cell in cells.items():
+        params = CompletenessParams(tau_hours=tau, t_days=t_days)
+        assert [r.user_id for r in cell.reports] == users
+        for rep in cell.reports:
+            trace = traces[rep.user_id]
+            want = assess_user(trace, params)
+            assert rep.params == params
+            assert rep.mu_t == want.mu_t and rep.mu_s == want.mu_s and rep.per_day == want.per_day
+            assert (rep.per_day, rep.mu_t) == scalar_temporal(trace, params, default_window_start(trace))
+
+
+def test_grid_with_an_empty_axis_is_empty():
+    traces = {"u": full_coverage_trace(t_days=2)}
+    assert grid_assessment(traces, tau_set=(), t_set=(7,)) == {}
+    assert grid_assessment(traces, tau_set=(1.0,), t_set=()) == {}
+
+
+def test_grid_computes_mu_s_once_per_user():
+    with pytest.warns(UserWarning) as caught:
+        cells = grid_assessment({"v": trace_from_offsets("v", [3600.0])})
+    assert len(cells) == 9 and len(caught) == 1
 
 
 def test_select_cohort_thresholds():
