@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import GmmModel, predict
 from .visits import FeatureMatrix
@@ -82,6 +82,18 @@ def empirical_percentile(values: np.ndarray, x: float) -> float:
     return 100.0 * float(np.count_nonzero(values <= x)) / values.size
 
 
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row of a square cost matrix, minimising the total cost.
+
+    Exact search over all n! permutations (5,040 for the seven classes); among
+    equal minimum totals the first permutation in lexicographic order wins.
+    """
+    n = cost.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    totals = cost[np.arange(n), perms].sum(axis=1)
+    return perms[int(np.argmin(totals))]
+
+
 def assign_labels(
     model: GmmModel, fm: FeatureMatrix, rules: LabelingRules | None = None
 ) -> ComponentLabeling:
@@ -110,9 +122,9 @@ def assign_labels(
 
     proto = np.array([rules.anchors[lab] for lab in LABELS])
     cost = np.linalg.norm(pcts[:, None, :] - proto[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    label_of = {int(j): LABELS[c] for j, c in zip(rows, cols)}
-    return ComponentLabeling(label_of, centroids, pcts, float(cost[rows, cols].sum()))
+    cols = min_cost_assignment(cost)
+    label_of = {j: LABELS[c] for j, c in enumerate(cols)}
+    return ComponentLabeling(label_of, centroids, pcts, float(cost[np.arange(model.k), cols].sum()))
 
 
 def classify_features(

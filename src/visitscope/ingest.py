@@ -6,7 +6,7 @@ import csv
 import io
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import IO, Iterable
 from urllib.parse import quote, unquote

@@ -6,7 +6,6 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 COV_KINDS = ("spherical", "diagonal", "tied", "full")
 
@@ -99,63 +98,6 @@ def kmeans_pp_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _log_gauss(
-    x: np.ndarray,
-    means: np.ndarray,
-    covs: np.ndarray,
-    cov_kind: str,
-    xx: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-row, per-component Gaussian log density, (n, k)."""
-    n, d = x.shape
-    k = means.shape[0]
-    if cov_kind == "spherical":
-        sq = (
-            np.sum(x**2, axis=1)[:, None]
-            - 2.0 * x @ means.T
-            + np.sum(means**2, axis=1)[None, :]
-        )
-        return -0.5 * (d * LOG_2PI + d * np.log(covs)[None, :] + sq / covs[None, :])
-    if cov_kind == "diagonal":
-        inv = 1.0 / covs  # (k, d)
-        quad = (
-            (x**2) @ inv.T
-            - 2.0 * x @ (means * inv).T
-            + np.sum(means**2 * inv, axis=1)[None, :]
-        )
-        logdet = np.sum(np.log(covs), axis=1)
-        return -0.5 * (d * LOG_2PI + logdet[None, :] + quad)
-    if cov_kind == "tied":
-        chol = np.linalg.cholesky(covs)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        inv_l = np.linalg.inv(chol)
-        xw = x @ inv_l.T
-        mw = means @ inv_l.T
-        sq = (
-            np.sum(xw**2, axis=1)[:, None]
-            - 2.0 * xw @ mw.T
-            + np.sum(mw**2, axis=1)[None, :]
-        )
-        return -0.5 * (d * LOG_2PI + logdet + sq)
-    if cov_kind == "full":
-        # quadratic form via flattened outer products: one matmul, no k-loop
-        chol = np.linalg.cholesky(covs)
-        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-        prec = np.linalg.inv(covs)
-        if xx is None:
-            xx = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
-        prec_flat = prec.reshape(k, d * d)
-        pmu = np.einsum("kde,ke->kd", prec, means)
-        const = np.einsum("kd,kd->k", pmu, means)
-        quad = xx @ prec_flat.T - 2.0 * (x @ pmu.T) + const[None, :]
-        return -0.5 * (d * LOG_2PI + logdet[None, :] + quad)
-    raise ValueError(f"unknown cov_kind {cov_kind!r}")
-
-
-def _weighted_log_prob(x, model_weights, means, covs, cov_kind, xx=None) -> np.ndarray:
-    return _log_gauss(x, means, covs, cov_kind, xx=xx) + np.log(model_weights)[None, :]
-
-
 def _design(x: np.ndarray, cov_kind: str) -> np.ndarray:
     """Augmented design [x | sufficient-statistic columns] for one-GEMM E/M steps."""
     if cov_kind == "spherical":
@@ -167,39 +109,48 @@ def _design(x: np.ndarray, cov_kind: str) -> np.ndarray:
     return np.hstack([x, xx])
 
 
-def _gemm_coefs(weights, means, covs, cov_kind):
-    """(B, c) such that the weighted log density equals design @ B.T + c."""
+def _weighted_log_prob(design, weights, means, covs, cov_kind) -> np.ndarray:
+    """log(w_j N(x_i | mu_j, Sigma_j)), (n, k), as one gemm design @ b.T + c."""
     k, d = means.shape
-    logw = np.log(weights)
     if cov_kind == "spherical":
         inv = 1.0 / covs
         b = np.hstack([means * inv[:, None], (-0.5 * inv)[:, None]])
-        c = -0.5 * (d * LOG_2PI + d * np.log(covs) + np.sum(means**2, axis=1) * inv) + logw
-        return b, c
-    if cov_kind == "diagonal":
+        c = -0.5 * (d * LOG_2PI + d * np.log(covs) + np.sum(means**2, axis=1) * inv)
+    elif cov_kind == "diagonal":
         inv = 1.0 / covs
         b = np.hstack([means * inv, -0.5 * inv])
         c = -0.5 * (d * LOG_2PI + np.sum(np.log(covs), axis=1) + np.sum(means**2 * inv, axis=1))
-        return b, c + logw
-    if cov_kind == "tied":
+    elif cov_kind == "tied":
         chol = np.linalg.cholesky(covs)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         prec = np.linalg.inv(covs)
         prec = 0.5 * (prec + prec.T)
         pmu = means @ prec
         b = np.hstack([pmu, np.tile(-0.5 * prec.ravel(), (k, 1))])
-        c = -0.5 * (d * LOG_2PI + logdet + np.sum(pmu * means, axis=1)) + logw
-        return b, c
-    if cov_kind == "full":
+        c = -0.5 * (d * LOG_2PI + logdet + np.sum(pmu * means, axis=1))
+    elif cov_kind == "full":
         chol = np.linalg.cholesky(covs)
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         prec = np.linalg.inv(covs)
         prec = 0.5 * (prec + prec.transpose(0, 2, 1))
         pmu = np.einsum("kde,ke->kd", prec, means)
         b = np.hstack([pmu, -0.5 * prec.reshape(k, d * d)])
-        c = -0.5 * (d * LOG_2PI + logdet + np.sum(pmu * means, axis=1)) + logw
-        return b, c
-    raise ValueError(f"unknown cov_kind {cov_kind!r}")
+        c = -0.5 * (d * LOG_2PI + logdet + np.sum(pmu * means, axis=1))
+    else:
+        raise ValueError(f"unknown cov_kind {cov_kind!r}")
+    wlp = design @ b.T
+    wlp += (c + np.log(weights))[None, :]
+    return wlp
+
+
+def _normalize(wlp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (wlp, normalised in place) and each row's max-shifted log-sum-exp."""
+    wmax = wlp.max(axis=1)
+    np.subtract(wlp, wmax[:, None], out=wlp)
+    np.exp(wlp, out=wlp)
+    norm = wlp.sum(axis=1)
+    wlp /= norm[:, None]
+    return wlp, np.log(norm) + wmax
 
 
 def _m_step_cov(stat, nk, means, cov_kind, reg, n, total_xx=None):
@@ -224,8 +175,9 @@ def _m_step_cov(stat, nk, means, cov_kind, reg, n, total_xx=None):
     raise ValueError(f"unknown cov_kind {cov_kind!r}")
 
 
-def _lloyd_refine(x: np.ndarray, centers: np.ndarray, n_iter: int = 10) -> np.ndarray:
-    """A few cheap k-means iterations to tighten the seeds before EM."""
+def lloyd(x: np.ndarray, centers: np.ndarray, n_iter: int = 10) -> np.ndarray:
+    """Lloyd's k-means from centers (updated in place; an empty cluster keeps its
+    center) until the assignment repeats or n_iter passes; returns the assignment."""
     x2 = np.sum(x**2, axis=1)[:, None]
     assign = None
     for _ in range(n_iter):
@@ -248,7 +200,7 @@ def _fit_single(x: np.ndarray, params: GmmParams, rng: np.random.Generator) -> G
     total_xx = x.T @ x if params.cov_kind == "tied" else None
     # hard assignment to refined k-means++ seeds initializes the first M-step
     centers = kmeans_pp_seeds(x, k, rng)
-    assign = _lloyd_refine(x, centers)
+    assign = lloyd(x, centers)
     resp = np.zeros((n, k))
     resp[np.arange(n), assign] = 1.0
 
@@ -283,17 +235,10 @@ def _fit_single(x: np.ndarray, params: GmmParams, rng: np.random.Generator) -> G
 
         # E-step: one gemm, then a single in-place exp pass shared by the
         # normalizer and the responsibilities
-        b, c = _gemm_coefs(weights, means, covs, params.cov_kind)
-        wlp = design @ b.T
-        wlp += c[None, :]
-        wmax = wlp.max(axis=1)
-        np.subtract(wlp, wmax[:, None], out=wlp)
-        np.exp(wlp, out=wlp)
-        norm = wlp.sum(axis=1)
-        new_loglik = float(np.sum(np.log(norm) + wmax))
+        wlp = _weighted_log_prob(design, weights, means, covs, params.cov_kind)
+        resp, lse = _normalize(wlp)
+        new_loglik = float(np.sum(lse))
         history.append(new_loglik)
-        resp = wlp
-        resp /= norm[:, None]
 
         if np.isfinite(loglik) and abs(new_loglik - loglik) <= params.tol * max(1.0, abs(new_loglik)):
             loglik = new_loglik
@@ -326,20 +271,23 @@ def fit_gmm(x: np.ndarray, params: GmmParams) -> GmmModel:
     return best
 
 
+def _model_log_prob(model: GmmModel, x: np.ndarray) -> np.ndarray:
+    design = _design(np.asarray(x, dtype=float), model.cov_kind)
+    return _weighted_log_prob(design, model.weights, model.means, model.covariances, model.cov_kind)
+
+
 def log_likelihood(model: GmmModel, x: np.ndarray) -> float:
-    """Total log-likelihood of x under the mixture, computed in log space."""
-    x = np.asarray(x, dtype=float)
-    wlp = _weighted_log_prob(x, model.weights, model.means, model.covariances, model.cov_kind)
-    return float(logsumexp(wlp, axis=1).sum())
+    """Total log-likelihood of x under the mixture, by the E-step's arithmetic."""
+    _, lse = _normalize(_model_log_prob(model, x))
+    return float(np.sum(lse))
 
 
 def predict(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hard assignments (argmax, ties to the lowest index) and responsibilities."""
-    x = np.asarray(x, dtype=float)
-    wlp = _weighted_log_prob(x, model.weights, model.means, model.covariances, model.cov_kind)
-    lse = logsumexp(wlp, axis=1)
-    resp = np.exp(wlp - lse[:, None])
-    return np.argmax(wlp, axis=1), resp
+    wlp = _model_log_prob(model, x)
+    labels = np.argmax(wlp, axis=1)
+    resp, _ = _normalize(wlp)
+    return labels, resp
 
 
 def n_parameters(k: int, d: int, cov_kind: str) -> int:
@@ -354,8 +302,12 @@ def n_parameters(k: int, d: int, cov_kind: str) -> int:
 
 
 def information_criteria(model: GmmModel, x: np.ndarray) -> dict[str, float]:
+    """BIC and AIC from the fit's own log-likelihood, ``model.loglik``.
+
+    x must be the data the model was fitted on; only its row count is read.
+    """
     n = np.asarray(x).shape[0]
-    ll = log_likelihood(model, x)
+    ll = model.loglik
     p = n_parameters(model.k, model.d, model.cov_kind)
     return {"bic": p * np.log(n) - 2.0 * ll, "aic": 2.0 * p - 2.0 * ll, "loglik": ll}
 

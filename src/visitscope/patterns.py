@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import LABELS, LabeledFeature
-from .model import kmeans_pp_seeds
+from .model import kmeans_pp_seeds, lloyd
 from .visits import Visit
 
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -92,26 +92,12 @@ def cluster_motifs(
     for restart in range(n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
         centers = kmeans_pp_seeds(x, k_m, rng)
-        assign = np.zeros(len(users), dtype=int)
-        for _ in range(300):
-            d2 = (
-                np.sum(x**2, axis=1)[:, None]
-                - 2.0 * x @ centers.T
-                + np.sum(centers**2, axis=1)[None, :]
-            )
-            new_assign = np.argmin(d2, axis=1)
-            for j in range(k_m):
-                mask = new_assign == j
-                if mask.any():
-                    centers[j] = x[mask].mean(axis=0)
-            if np.array_equal(new_assign, assign):
-                break
-            assign = new_assign
+        assign = lloyd(x, centers, n_iter=300)
         inertia = float(np.sum((x - centers[assign]) ** 2))
         if inertia < best_inertia:
             best_inertia = inertia
-            best_assign = assign.copy()
-            best_centers = centers.copy()
+            best_assign = assign
+            best_centers = centers
 
     membership = {u: int(c) for u, c in zip(users, best_assign)}
     return MotifClusterResult(membership, best_centers.reshape(k_m, 7, 7), best_inertia)

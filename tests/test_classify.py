@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from visitscope.classify import (
     DEFAULT_ANCHORS,
@@ -8,6 +11,7 @@ from visitscope.classify import (
     assign_labels,
     classify_features,
     empirical_percentile,
+    min_cost_assignment,
 )
 from visitscope.model import GmmParams, fit_gmm
 from visitscope.visits import FeatureMatrix
@@ -82,6 +86,28 @@ def test_assignment_is_optimal_not_greedy():
     for _ in range(500):
         perm = rng.permutation(7)
         assert labeling.cost <= cost[np.arange(7), perm].sum() + 1e-9
+
+
+def test_assignment_ties_go_to_first_permutation_in_lexicographic_order():
+    rng = np.random.default_rng(12)
+    cost = rng.uniform(0.0, 100.0, size=(7, 7))
+    cost[:, 5] = cost[:, 2]  # two identical prototypes: every optimum has a twin
+    totals = [sum(cost[i, p[i]] for i in range(7)) for p in itertools.permutations(range(7))]
+    best = min(totals)
+    optima = [p for p, t in zip(itertools.permutations(range(7)), totals) if t == best]
+    assert len(optima) == 2
+    got = min_cost_assignment(cost)
+    assert tuple(got.tolist()) == optima[0]
+    twin = [{2: 5, 5: 2}.get(c, c) for c in optima[0]]
+    assert tuple(twin) == optima[1] and optima[0] < optima[1]
+
+
+def test_assignment_matches_scipy_on_tie_free_matrices():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        cost = rng.uniform(0.0, 150.0, size=(7, 7))
+        rows, cols = linear_sum_assignment(cost)  # rows come back as 0..6
+        assert np.array_equal(min_cost_assignment(cost), cols)
 
 
 def test_k_not_seven_is_an_error():

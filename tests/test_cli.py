@@ -1,9 +1,12 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import visitscope
 from visitscope import ingest
 from visitscope.cli import main
 
@@ -269,3 +272,15 @@ def test_visits_loads_only_the_cohort(fixture_root, tmp_path, monkeypatch):
         cohort = json.load(fh)["users"]
     assert len(cohort) == 8 and "sparse" not in cohort
     assert loaded == [cohort + ["sparse"], cohort]
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    code = (
+        "import sys, visitscope.cli, visitscope.model;"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(visitscope.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
