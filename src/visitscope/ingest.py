@@ -226,24 +226,27 @@ def build_traces(records: Iterable[MobilityRecord]) -> tuple[dict[str, MobilityT
     return traces, stats
 
 
+def trace_file(user: str) -> str:
+    """Path of a user's trace under the store's directory: ``traces/<quoted user_id>.csv``.
+
+    The user id is percent-quoted with no safe characters, so an id such as
+    ``../x`` names a file inside ``traces/``.
+    """
+    return os.path.join("traces", quote(user, safe="") + ".csv")
+
+
 def write_traces(
     traces: dict[str, MobilityTrace],
     out_dir: str,
     sources: list[str] | None = None,
     parse_errors: int = 0,
 ) -> dict:
-    """Persist traces to ``<out_dir>/traces/<quoted user_id>.csv``; return the store's manifest.
-
-    The user id is percent-quoted with no safe characters, so an id such as
-    ``../x`` names a file inside ``traces/``.
-    """
-    traces_dir = os.path.join(out_dir, "traces")
-    os.makedirs(traces_dir, exist_ok=True)
+    """Persist traces to ``<out_dir>/<trace_file(user)>``; return the store's manifest."""
+    os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     users = {}
     for user in sorted(traces):
         trace = traces[user]
-        path = os.path.join(traces_dir, quote(user, safe="") + ".csv")
-        with open(path, "w", newline="") as fh:
+        with open(os.path.join(out_dir, trace_file(user)), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t_iso8601", "lat", "lon"])
             for rec in trace.records:

@@ -1,13 +1,16 @@
 """Staged pipeline: ingest -> quality -> visits -> fit -> classify -> patterns -> report.
 
 Each stage writes its artifacts into ``<out>/.<stage>.tmp/``, which replaces
-``<out>/<stage>/`` whole once the stage has succeeded, and records a cache key
-in ``<out>/run_manifest.json``; re-running an unchanged stage is a no-op.
+``<out>/<stage>/`` whole once the stage has succeeded. ``<out>/run_manifest.json``
+records what the stage read: each config field, the manifest digest of each
+artifact (or its absence), the raw inputs and the package source. Re-running a
+stage none of whose reads has changed is a no-op.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import glob
 import hashlib
 import json
@@ -83,8 +86,9 @@ class PipelineConfig:
         out_dir = raw.get("out_dir")
         if not out_dir or not isinstance(out_dir, str):
             raise ConfigError("out_dir: required string")
-        cfg = cls(out_dir=out_dir)
-        cfg.ingest = dict(raw.get("ingest", {}))
+        if not isinstance(raw.get("ingest", {}), dict):
+            raise ConfigError("ingest: must be an object")
+        cfg = cls(out_dir=out_dir, ingest=dict(raw.get("ingest", {})))
         for section in ("quality", "visits", "model", "classify", "patterns"):
             merged = dict(cls.DEFAULTS[section])
             user = raw.get(section, {})
@@ -93,6 +97,11 @@ class PipelineConfig:
             for key, val in user.items():
                 if key not in merged:
                     raise ConfigError(f"{section}.{key}: unknown field")
+                # an int may stand for a float; a bool stands only for a bool
+                want = type(merged[key])
+                types = (int, float) if want is float else want
+                if isinstance(val, bool) != (want is bool) or not isinstance(val, types):
+                    raise ConfigError(f"{section}.{key}: expected {want.__name__}, got {type(val).__name__}")
                 merged[key] = val
             setattr(cfg, section, merged)
         cfg.validate()
@@ -126,28 +135,6 @@ class PipelineConfig:
         return asdict(self)
 
 
-# stage -> stages whose outputs feed it
-STAGE_DEPS = {
-    "ingest": (),
-    "quality": ("ingest",),
-    "visits": ("ingest", "quality"),
-    "fit": ("visits",),
-    "classify": ("fit", "visits"),
-    "patterns": ("classify", "visits", "ingest"),
-    "report": ("quality", "fit", "classify"),
-}
-
-# config sections that feed each stage's cache key
-STAGE_CONFIG = {
-    "ingest": ("ingest",),
-    "quality": ("quality",),
-    "visits": ("quality", "visits"),
-    "fit": ("model",),
-    "classify": ("model", "classify"),
-    "patterns": ("patterns", "quality", "model"),
-    "report": (),
-}
-
 # table -> (path under <out>, columns); a column "name:spec" is written as f"{value:spec}",
 # a bare "name" as the csv module writes the value (None as an empty field)
 TABLES = {
@@ -178,6 +165,17 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@functools.cache
+def source_digest() -> str:
+    """Digest of the package's source files, so that no other version's artifacts are reused."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    return _digest({name: _sha256_file(os.path.join(pkg, name)) for name in glob.glob("*.py", root_dir=pkg)})
+
+
 class Pipeline:
     def __init__(self, config: PipelineConfig, progress_json: bool = False):
         self.config = config
@@ -187,7 +185,8 @@ class Pipeline:
         self.manifest_path = os.path.join(self.out, "run_manifest.json")
         self.manifest = {"stages": {}}
         if os.path.exists(self.manifest_path):
-            self.manifest = self._read_json("run_manifest.json")
+            with open(self.manifest_path) as fh:
+                self.manifest = json.load(fh)
         self.manifest["config"] = config.to_dict()
 
     # -- plumbing ----------------------------------------------------------
@@ -206,6 +205,7 @@ class Pipeline:
             fh.write("\n")
 
     def _read_json(self, rel: str):
+        self._read(rel)
         with open(os.path.join(self.out, rel)) as fh:
             return json.load(fh)
 
@@ -218,6 +218,7 @@ class Pipeline:
             writer.writerows([format(v, s) if s else v for v, s in zip(row, specs)] for row in rows)
 
     def _read_table(self, table: str) -> list[dict]:
+        self._read(TABLES[table][0])
         with open(os.path.join(self.out, TABLES[table][0]), newline="") as fh:
             return list(csv.DictReader(fh))
 
@@ -227,30 +228,40 @@ class Pipeline:
         else:
             print(f"[{stage}] {event}" + (f" {extra}" if extra else ""), file=sys.stderr)
 
-    def _raw_input_files(self, stage: str) -> list[str]:
-        if stage != "ingest":
-            return []
-        files = []
-        root = self.config.ingest.get("plt_root")
-        if root:
-            files += glob.glob(os.path.join(root, "**", "*.plt"), recursive=True)
-        files += self.config.ingest.get("trajectory_csvs", [])
-        poi = self.config.ingest.get("poi_csv")
-        if poi:
-            files.append(poi)
-        return sorted(files)
+    def _dep(self, key: str):
+        """Current value of something a stage reads.
 
-    def _cache_key(self, stage: str) -> str:
-        h = hashlib.sha256()
-        for section in STAGE_CONFIG[stage]:
-            h.update(json.dumps(getattr(self.config, section), sort_keys=True).encode())
-        for path in self._raw_input_files(stage):
-            h.update(path.encode())
-            h.update(_sha256_file(path).encode())
-        for dep in STAGE_DEPS[stage]:
-            dep_entry = self.manifest["stages"].get(dep, {})
-            h.update(json.dumps(dep_entry.get("outputs", {}), sort_keys=True).encode())
-        return h.hexdigest()
+        ``<stage>/<path>`` is an artifact's digest in the manifest (None when it
+        is absent); a trailing ``/`` names every artifact under that directory.
+        ``source`` is the package source, ``inputs`` the raw input files, and
+        ``<section>.<field>`` a config field.
+        """
+        if "/" in key:
+            outputs = self.manifest["stages"].get(key.partition("/")[0], {}).get("outputs", {})
+            if key.endswith("/"):
+                return _digest({rel: d for rel, d in outputs.items() if rel.startswith(key)})
+            return outputs.get(key)
+        if key == "source":
+            return source_digest()
+        if key == "inputs":
+            ingest = self.config.ingest
+            files = list(ingest.get("trajectory_csvs", []))
+            if ingest.get("plt_root"):
+                files += glob.glob(os.path.join(ingest["plt_root"], "**", "*.plt"), recursive=True)
+            if ingest.get("poi_csv"):
+                files.append(ingest["poi_csv"])
+            return _digest({path: _sha256_file(path) for path in files})
+        section, _, name = key.partition(".")
+        return getattr(self.config, section).get(name)
+
+    def _read(self, key: str):
+        """:meth:`_dep` of ``key``, recorded as a read of the running stage."""
+        self._reads[key] = value = self._dep(key)
+        return value
+
+    def _section(self, section: str):
+        """Getter of the config fields of ``section`` that records each field read."""
+        return lambda name: self._read(f"{section}.{name}")
 
     def _outputs_intact(self, entry: dict) -> bool:
         paths = {os.path.join(self.out, rel): digest for rel, digest in entry["outputs"].items()}
@@ -261,17 +272,18 @@ class Pipeline:
 
         The stage writes into ``<out>/.<stage>.tmp/``; only once it succeeds does
         that directory replace ``<out>/<stage>/``, so no file of an earlier run
-        survives. The output digests and the manifest are then updated.
+        survives. The manifest then records what the stage read and its outputs' digests.
         """
-        key = self._cache_key(stage)
-        entry = self.manifest["stages"].get(stage)
-        if entry and entry["cache_key"] == key and self._outputs_intact(entry):
+        entry = self.manifest["stages"].get(stage, {})
+        reads = entry.get("reads")  # absent in a manifest written before reads were recorded
+        if reads and _digest(reads) == _digest({k: self._dep(k) for k in reads}) and self._outputs_intact(entry):
             self._log(stage, "cache-hit")
             return True
         self._log(stage, "start")
         tmp, sdir = self._staged(stage), self.stage_dir(stage)
         shutil.rmtree(tmp, ignore_errors=True)  # left by a run that crashed in this stage
         os.makedirs(tmp)
+        self._reads = {"source": source_digest()}
         t0 = time.perf_counter()
         getattr(self, f"_stage_{stage}")()
         wall = time.perf_counter() - t0
@@ -283,7 +295,7 @@ class Pipeline:
             for name in names:
                 path = os.path.join(dirpath, name)
                 outputs[os.path.relpath(path, self.out)] = _sha256_file(path)
-        self.manifest["stages"][stage] = {"cache_key": key, "outputs": outputs, "wall_clock_s": wall}
+        self.manifest["stages"][stage] = {"reads": self._reads, "outputs": outputs, "wall_clock_s": wall}
         self._write_json("run_manifest.json", self.manifest)
         os.replace(self._staged("run_manifest.json"), self.manifest_path)
         self._log(stage, "done", wall_clock_s=round(wall, 3))
@@ -292,12 +304,13 @@ class Pipeline:
     # -- stages -------------------------------------------------------------
 
     def _stage_ingest(self) -> None:
-        cfg = self.config.ingest
+        cfg = self._section("ingest")
+        self._read("inputs")
         records: list[ingest_mod.MobilityRecord] = []
         sources: list[str] = []
         errors = 0
 
-        root = cfg.get("plt_root")
+        root = cfg("plt_root")
         if root:
             for path in sorted(glob.glob(os.path.join(root, "**", "*.plt"), recursive=True)):
                 user = os.path.relpath(path, root).split(os.sep)[0]
@@ -306,9 +319,9 @@ class Pipeline:
                 records += recs
                 errors += stats.skipped
                 sources.append(path)
-        for path in cfg.get("trajectory_csvs", []):
+        for path in cfg("trajectory_csvs") or []:
             with open(path) as fh:
-                recs, stats = ingest_mod.parse_trajectory_csv(fh, cfg["trajectory_column_map"])
+                recs, stats = ingest_mod.parse_trajectory_csv(fh, cfg("trajectory_column_map"))
             records += recs
             errors += stats.skipped
             sources.append(path)
@@ -318,10 +331,10 @@ class Pipeline:
         manifest["build"] = asdict(build_stats)
         self._write_json("ingest/manifest.json", manifest)
 
-        poi_path = cfg.get("poi_csv")
+        poi_path = cfg("poi_csv")
         if poi_path:
             with open(poi_path) as fh:
-                pois, _ = ingest_mod.parse_poi_file(fh, cfg["poi_column_map"])
+                pois, _ = ingest_mod.parse_poi_file(fh, cfg("poi_column_map"))
             self._write_table(
                 "pois",
                 ((p.poi_id, p.lat, p.lon, p.category) for p in sorted(pois, key=lambda p: p.poi_id)),
@@ -334,16 +347,17 @@ class Pipeline:
         ]
 
     def _stage_quality(self) -> None:
-        cfg = self.config.quality
+        cfg = self._section("quality")
+        self._read("ingest/traces/")  # the whole store, so that a new user's trace is a change
         traces = ingest_mod.read_traces(self.stage_dir("ingest"))
-
+        # one pass scores the grid and the cohort's (tau, T), which may lie off the grid
+        cohort_key = (float(cfg("tau_hours")), cfg("t_days"))
         cells = quality_mod.grid_assessment(
-            traces,
-            tau_set=cfg["tau_set"],
-            t_set=cfg["t_set"],
-            p_hours=cfg["p_hours"],
-            max_speed_kmh=cfg["max_speed_kmh"],
+            traces, cfg("tau_set"), cfg("t_set"), cfg("p_hours"), cfg("max_speed_kmh"), extra=[cohort_key]
         )
+        cohort = quality_mod.select_cohort(cells[cohort_key].reports, cfg("mu_t_min"), cfg("mu_s_min"))
+        grid = [(float(tau), int(t)) for tau in cfg("tau_set") for t in cfg("t_set")]
+        cells = {key: cells[key] for key in grid}
         self._write_table(
             "reports",
             (
@@ -363,34 +377,24 @@ class Pipeline:
         }
         hist["_meta"] = {"aggregation": "per-day mean of day scores"}
         self._write_json("quality/histograms.json", hist)
-
-        cohort_cell = cells.get((float(cfg["tau_hours"]), int(cfg["t_days"])))
-        if cohort_cell is None:
-            params = quality_mod.CompletenessParams(
-                cfg["p_hours"], cfg["tau_hours"], cfg["t_days"], cfg["max_speed_kmh"]
-            )
-            reports = [
-                quality_mod.assess_user(traces[u], params) for u in sorted(traces) if traces[u].records
-            ]
-        else:
-            reports = cohort_cell.reports
-        cohort = quality_mod.select_cohort(reports, cfg["mu_t_min"], cfg["mu_s_min"])
-        self._write_json("quality/cohort.json", {"users": cohort, **{k: cfg[k] for k in COHORT_PARAMS}})
+        self._write_json("quality/cohort.json", {"users": cohort, **{k: cfg(k) for k in COHORT_PARAMS}})
 
     def _stage_visits(self) -> None:
-        cfg = self.config.visits
+        cfg = self._section("visits")
         cohort = self._read_json("quality/cohort.json")["users"]
+        for user in cohort:
+            self._read(os.path.join("ingest", ingest_mod.trace_file(user)))
         traces = ingest_mod.read_traces(self.stage_dir("ingest"), users=cohort)
         pois = self._load_pois()
-        index = visits_mod.SpatialIndex(pois, cell_m=cfg["snap_radius_m"])
+        index = visits_mod.SpatialIndex(pois, cell_m=cfg("snap_radius_m"))
 
         all_visits: list[visits_mod.Visit] = []
         for user in cohort:
             trace = traces.get(user)
             if trace is None:
                 continue
-            vs = visits_mod.extract_stay_points(trace, cfg["dist_thresh_m"], cfg["time_thresh_s"])
-            visits_mod.snap_visits(vs, index, cfg["snap_radius_m"])
+            vs = visits_mod.extract_stay_points(trace, cfg("dist_thresh_m"), cfg("time_thresh_s"))
+            visits_mod.snap_visits(vs, index, cfg("snap_radius_m"))
             all_visits += vs
 
         self._write_table(
@@ -426,22 +430,22 @@ class Pipeline:
             )
             for r in self._read_table("features")
         ]
-        return visits_mod.feature_matrix(features, self.config.model["transform"])
+        return visits_mod.feature_matrix(features, self._read("model.transform"))
 
     def _gmm_params(self) -> model_mod.GmmParams:
         fields = ("k", "cov_kind", "seed", "max_iter", "tol", "reg_covar", "n_init")
-        return model_mod.GmmParams(**{f: self.config.model[f] for f in fields})
+        return model_mod.GmmParams(**{f: self._read(f"model.{f}") for f in fields})
 
     def _stage_fit(self) -> None:
-        cfg = self.config.model
+        cfg = self._section("model")
         fm = self._feature_matrix()
 
-        if cfg["run_sweep"]:
+        if cfg("run_sweep"):
             result = model_mod.sweep(
                 fm.x,
-                k_max=cfg["k_max"],
+                k_max=cfg("k_max"),
                 params=self._gmm_params(),
-                selected=(cfg["k"], cfg["cov_kind"]),
+                selected=(cfg("k"), cfg("cov_kind")),
             )
             self._write_table(
                 "sweep",
@@ -450,8 +454,8 @@ class Pipeline:
             self._write_json(
                 "fit/sweep_meta.json",
                 {
-                    "selected_k": cfg["k"],
-                    "selected_cov_kind": cfg["cov_kind"],
+                    "selected_k": cfg("k"),
+                    "selected_cov_kind": cfg("cov_kind"),
                     "elbow_k": result.elbow_k,
                     "elbow_flag": result.elbow_flag,
                 },
@@ -459,14 +463,14 @@ class Pipeline:
 
         model = model_mod.fit_gmm(fm.x, self._gmm_params())
         doc = model.to_dict()
-        doc["seed"] = cfg["seed"]
+        doc["seed"] = cfg("seed")
         doc["transform"] = fm.transform
         self._write_json("fit/model.json", doc)
 
     def _stage_classify(self) -> None:
         fm = self._feature_matrix()
         model = model_mod.GmmModel.from_dict(self._read_json("fit/model.json"))
-        rules = classify_mod.LabelingRules(**self.config.classify)
+        rules = classify_mod.LabelingRules(**{f: self._read(f"classify.{f}") for f in self.config.classify})
         labeling = classify_mod.assign_labels(model, fm, rules)
         labeled = classify_mod.classify_features(fm, model, labeling, rules)
 
@@ -499,7 +503,7 @@ class Pipeline:
         ]
 
     def _stage_patterns(self) -> None:
-        cfg = self.config.patterns
+        cfg = self._section("patterns")
         labeled = self._load_labeled_features()
         visits = self._load_visits()
         lvisits = patterns_mod.label_visits(visits, labeled)
@@ -523,21 +527,19 @@ class Pipeline:
             ),
         )
 
-        motif_doc = {"k_m": cfg["k_m"], "note": "fewer users than k_m; clustering skipped"}
+        motif_doc = {"k_m": cfg("k_m"), "note": "fewer users than k_m; clustering skipped"}
         nonzero = {u: m for u, m in matrices.items() if m.counts.sum() > 0}
-        if len(nonzero) >= cfg["k_m"]:
-            motifs = patterns_mod.cluster_motifs(
-                nonzero, k_m=cfg["k_m"], seed=self.config.model["seed"]
-            )
+        if len(nonzero) >= cfg("k_m"):
+            motifs = patterns_mod.cluster_motifs(nonzero, k_m=cfg("k_m"), seed=self._read("model.seed"))
             motif_doc = {
-                "k_m": cfg["k_m"],
+                "k_m": cfg("k_m"),
                 "membership": motifs.membership,
                 "centroids": motifs.centroids.tolist(),
                 "inertia": motifs.inertia,
             }
         self._write_json("patterns/motif_centroids.json", motif_doc)
 
-        semantic = patterns_mod.semantic_top_k(lvisits, categories, k=cfg["top_k"])
+        semantic = patterns_mod.semantic_top_k(lvisits, categories, k=cfg("top_k"))
         self._write_table(
             "semantic_profile",
             (
@@ -547,7 +549,7 @@ class Pipeline:
             ),
         )
 
-        n_weeks = self.config.quality["t_days"] / 7.0
+        n_weeks = self._read("quality.t_days") / 7.0
         profile = patterns_mod.temporal_profile(lvisits, n_weeks)
         self._write_table(
             "temporal_profile",
@@ -559,7 +561,7 @@ class Pipeline:
             ),
         )
 
-        grid = patterns_mod.spatial_grid(lvisits, cell_deg=cfg["cell_deg"])
+        grid = patterns_mod.spatial_grid(lvisits, cell_deg=cfg("cell_deg"))
         self._write_table(
             "spatial_grid",
             (
@@ -585,9 +587,7 @@ class Pipeline:
         for lf in labeled:
             label_counts[lf.label] += 1
 
-        sweep_rows = []
-        if os.path.exists(os.path.join(self.out, TABLES["sweep"][0])):
-            sweep_rows = self._read_table("sweep")
+        sweep_rows = self._read_table("sweep") if self._read(TABLES["sweep"][0]) else []  # None: fit wrote none
         model_doc = self._read_json("fit/model.json")
 
         summary = {

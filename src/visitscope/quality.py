@@ -192,13 +192,16 @@ def grid_assessment(
     t_set=DEFAULT_T_SET_D,
     p_hours: float = 24.0,
     max_speed_kmh: float = 150.0,
+    extra=(),
 ) -> dict[tuple[float, int], GridCell]:
     """Completeness distribution for every (tau, T) cell of the parameter grid.
 
-    Each user's window offsets and mu_S (which reads only P and the speed
-    cap) are computed once and shared by every cell.
+    The ``extra`` (tau, T) pairs are scored as cells too. Each user's window
+    offsets and mu_S (which reads only P and the speed cap) are computed once
+    and shared by every cell.
     """
-    cells = {(float(tau), int(t)): GridCell(float(tau), int(t), []) for tau in tau_set for t in t_set}
+    keys = [(tau, t) for tau in tau_set for t in t_set] + list(extra)
+    cells = {(float(tau), int(t)): GridCell(float(tau), int(t), []) for tau, t in keys}
     params = {key: CompletenessParams(p_hours, *key, max_speed_kmh) for key in cells}
     for user in sorted(traces):
         trace = traces[user]

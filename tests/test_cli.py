@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import visitscope
-from visitscope import ingest
+from visitscope import ingest, pipeline
 from visitscope.cli import main
 
 from synth import START, make_geolife_fixture, write_plt
@@ -116,6 +116,30 @@ def test_unknown_field_is_config_error(fixture_root, tmp_path, capsys):
     )
     assert main(["quality", "--config", config]) == 2
     assert "quality.tau_hourz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, value, field",
+    [
+        ("quality", {"tau_hours": "4"}, "quality.tau_hours"),
+        ("model", {"k": "7"}, "model.k"),
+        ("model", {"k": True}, "model.k"),
+        ("ingest", "x", "ingest"),
+        ("quality", {"t_days": 7.5}, "quality.t_days"),
+    ],
+)
+def test_wrongly_typed_value_is_config_error(fixture_root, tmp_path, capsys, section, value, field):
+    root, poi_csv = fixture_root
+    config = write_config(str(tmp_path / "config.json"), root, poi_csv, str(tmp_path / "out"))
+    with open(config) as fh:
+        raw = json.load(fh)
+    raw[section] = {**raw.get(section, {}), **value} if isinstance(value, dict) else value
+    with open(config, "w") as fh:
+        json.dump(raw, fh)
+    assert main(["all", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}:" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_unreadable_config_is_config_error(tmp_path, capsys):
@@ -272,6 +296,95 @@ def test_visits_loads_only_the_cohort(fixture_root, tmp_path, monkeypatch):
         cohort = json.load(fh)["users"]
     assert len(cohort) == 8 and "sparse" not in cohort
     assert loaded == [cohort + ["sparse"], cohort]
+
+
+def rerun(config, run, capsys, **sections):
+    """`visitscope all` into ``run`` with ``sections`` merged into ``config``; the stages that ran."""
+    with open(config) as fh:
+        raw = json.load(fh)
+    for section, vals in sections.items():
+        raw.setdefault(section, {}).update(vals)
+    with open(run + ".json", "w") as fh:
+        json.dump(raw, fh)
+    capsys.readouterr()
+    assert main(["all", "--config", run + ".json", "--out", run, "--progress-json"]) == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    return [e["stage"] for e in events if e["event"] == "done"]
+
+
+@pytest.mark.parametrize(
+    "sections, stages",
+    [
+        ({"quality": {"tau_set": [1.0, 4.0]}}, ["quality"]),  # the cohort's cell is unchanged
+        ({"model": {"k_max": 6}}, ["fit", "report"]),  # model.json is unchanged; sweep.csv is not
+        ({"patterns": {"top_k": 3}}, ["patterns"]),
+    ],
+)
+def test_edit_reruns_only_the_stages_that_read_it(completed_run, tmp_path, capsys, sections, stages):
+    config, out = completed_run
+    run = str(tmp_path / "out")
+    shutil.copytree(out, run)
+    assert rerun(config, run, capsys, **sections) == stages
+    fresh = str(tmp_path / "fresh")
+    assert rerun(config, fresh, capsys, **sections) == list(pipeline.STAGES)
+    assert tree_files(run) == tree_files(fresh)
+
+
+def test_source_change_reruns_every_stage(completed_run, tmp_path, capsys, monkeypatch):
+    config, out = completed_run
+    run = str(tmp_path / "out")
+    shutil.copytree(out, run)
+    assert rerun(config, run, capsys) == []
+    monkeypatch.setattr(pipeline, "source_digest", lambda: "another version")
+    assert rerun(config, run, capsys) == list(pipeline.STAGES)
+    assert rerun(config, run, capsys) == []
+    assert tree_files(run) == tree_files(out)
+
+
+def test_new_plt_user_reruns_quality_and_grows_the_cohort(fixture_root, tmp_path, capsys):
+    root, poi_csv = fixture_root
+    tree = str(tmp_path / "geolife")
+    shutil.copytree(root, tree)
+    shutil.move(os.path.join(tree, "007"), str(tmp_path / "held_out"))
+    run = str(tmp_path / "out")
+    config = write_config(str(tmp_path / "config.json"), tree, poi_csv, run, model={"run_sweep": False})
+    assert rerun(config, run, capsys) == list(pipeline.STAGES)
+    shutil.move(str(tmp_path / "held_out"), os.path.join(tree, "007"))
+    assert "quality" in rerun(config, run, capsys)
+    with open(os.path.join(run, "quality", "cohort.json")) as fh:
+        assert json.load(fh)["users"] == [f"{u:03d}" for u in range(8)]
+    fresh = str(tmp_path / "fresh")
+    assert rerun(config, fresh, capsys) == list(pipeline.STAGES)
+    assert tree_files(run) == tree_files(fresh)
+
+
+def test_sweep_back_on_restores_the_sweep_table(completed_run, tmp_path, capsys):
+    config, out = completed_run
+    run = str(tmp_path / "out")
+    shutil.copytree(out, run)
+    assert rerun(config, run, capsys, model={"run_sweep": False}) == ["fit", "report"]
+    assert rerun(config, run, capsys, model={"run_sweep": True}) == ["fit", "report"]
+    with open(os.path.join(run, "report", "summary.json")) as fh:
+        assert len(json.load(fh)["sweep_table"]) == 8 * 4
+    assert tree_files(run) == tree_files(out)
+
+
+def test_manifest_without_recorded_reads_reruns_every_stage(completed_run, tmp_path, capsys):
+    config, out = completed_run
+    run = str(tmp_path / "out")
+    shutil.copytree(out, run)
+    path = os.path.join(run, "run_manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    for entry in manifest["stages"].values():  # the format that held one cache key per stage
+        del entry["reads"]
+        entry["cache_key"] = "0" * 64
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    assert rerun(config, run, capsys) == list(pipeline.STAGES)
+    with open(path) as fh:
+        assert all("reads" in e and "cache_key" not in e for e in json.load(fh)["stages"].values())
+    assert tree_files(run) == tree_files(out)
 
 
 def test_runtime_imports_no_scipy():

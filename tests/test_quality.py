@@ -350,8 +350,8 @@ def edge_traces(rng):
 @pytest.mark.filterwarnings("ignore:trace .* mu_S defaults to 1.0")
 def test_grid_cells_equal_assess_user():
     traces = dict(edge_traces(np.random.default_rng(9)))
-    cells = grid_assessment(traces, tau_set=GRID_TAUS, t_set=GRID_TS)
-    assert list(cells) == [(tau, t) for tau in GRID_TAUS for t in GRID_TS]
+    cells = grid_assessment(traces, tau_set=GRID_TAUS, t_set=GRID_TS, extra=[(2, 10), (1.0, 7)])
+    assert list(cells) == [(tau, t) for tau in GRID_TAUS for t in GRID_TS] + [(2.0, 10)]
     users = sorted(u for u, tr in traces.items() if tr.records)
     for (tau, t_days), cell in cells.items():
         params = CompletenessParams(tau_hours=tau, t_days=t_days)
@@ -368,6 +368,8 @@ def test_grid_with_an_empty_axis_is_empty():
     traces = {"u": full_coverage_trace(t_days=2)}
     assert grid_assessment(traces, tau_set=(), t_set=(7,)) == {}
     assert grid_assessment(traces, tau_set=(1.0,), t_set=()) == {}
+    only = grid_assessment(traces, tau_set=(), t_set=(7,), extra=[(4.0, 2)])
+    assert list(only) == [(4.0, 2)] and [r.mu_t for r in only[(4.0, 2)].reports] == [1.0]
 
 
 def test_grid_computes_mu_s_once_per_user():
