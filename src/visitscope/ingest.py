@@ -42,16 +42,6 @@ class MobilityTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def check(self) -> None:
-        """Raise if the trace violates its ordering/ownership invariants."""
-        prev = None
-        for r in self.records:
-            if r.user_id != self.user_id:
-                raise ValueError(f"record user {r.user_id!r} in trace {self.user_id!r}")
-            if prev is not None and r.t < prev:
-                raise ValueError(f"trace {self.user_id!r} not chronological at {r.t}")
-            prev = r.t
-
 
 @dataclass(frozen=True, slots=True)
 class PoiRecord:
@@ -120,6 +110,20 @@ def parse_plt(stream: IO[str] | IO[bytes], user_id: str) -> tuple[list[MobilityR
     return records, stats
 
 
+def _mapped_rows(stream: IO[str] | IO[bytes], column_map: dict, required: tuple[str, ...]) -> csv.DictReader:
+    """Rows of a CSV with a header row that has the column ``column_map`` names for each required key.
+
+    A missing mapped column raises ValueError.
+    """
+    reader = csv.DictReader(io.StringIO(_as_text(stream)))
+    fieldnames = reader.fieldnames or []
+    for key in required:
+        col = column_map.get(key)
+        if col is None or col not in fieldnames:
+            raise ValueError(f"column for {key!r} ({col!r}) not found in header {fieldnames}")
+    return reader
+
+
 def parse_trajectory_csv(
     stream: IO[str] | IO[bytes], column_map: dict
 ) -> tuple[list[MobilityRecord], ParseStats]:
@@ -129,14 +133,7 @@ def parse_trajectory_csv(
     carries the strptime pattern under ``t_format``. A missing mapped column
     is a hard error; bad rows are skipped and counted.
     """
-    text = _as_text(stream)
-    reader = csv.DictReader(io.StringIO(text))
-    required = ("user", "lat", "lon", "t")
-    fieldnames = reader.fieldnames or []
-    for key in required:
-        col = column_map.get(key)
-        if col is None or col not in fieldnames:
-            raise ValueError(f"column for {key!r} ({col!r}) not found in header {fieldnames}")
+    reader = _mapped_rows(stream, column_map, ("user", "lat", "lon", "t"))
     t_format = column_map.get("t_format", "%Y-%m-%d %H:%M:%S")
 
     stats = ParseStats()
@@ -164,15 +161,7 @@ def parse_trajectory_csv(
 
 def parse_poi_file(stream: IO[str] | IO[bytes], column_map: dict) -> tuple[list[PoiRecord], ParseStats]:
     """Parse a PoI CSV. ``column_map`` names ``poi_id``, ``lat``, ``lon``, ``category``."""
-    text = _as_text(stream)
-    reader = csv.DictReader(io.StringIO(text))
-    required = ("poi_id", "lat", "lon", "category")
-    fieldnames = reader.fieldnames or []
-    for key in required:
-        col = column_map.get(key)
-        if col is None or col not in fieldnames:
-            raise ValueError(f"column for {key!r} ({col!r}) not found in header {fieldnames}")
-
+    reader = _mapped_rows(stream, column_map, ("poi_id", "lat", "lon", "category"))
     stats = ParseStats()
     pois: list[PoiRecord] = []
     for row in reader:

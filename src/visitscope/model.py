@@ -330,13 +330,6 @@ class SweepResult:
     elbow_k: int | None
     elbow_flag: str
 
-    def bic_series(self, cov_kind: str) -> dict[int, float]:
-        return {
-            k: cell.bic
-            for (k, kind), cell in sorted(self.cells.items())
-            if kind == cov_kind and cell.error is None
-        }
-
     def rows(self) -> list[SweepCell]:
         return [self.cells[key] for key in sorted(self.cells)]
 

@@ -10,6 +10,7 @@ stage none of whose reads has changed is a no-op.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import glob
 import hashlib
@@ -135,26 +136,38 @@ class PipelineConfig:
         return asdict(self)
 
 
-# table -> (path under <out>, columns); a column "name:spec" is written as f"{value:spec}",
-# a bare "name" as the csv module writes the value (None as an empty field)
+# table -> (path under <out>, columns, row class). A column "name:spec" is written as
+# f"{value:spec}", a bare "name" as the csv module writes the value (None as an empty
+# field) and a datetime as its isoformat(). A row class's objects are written column by
+# attribute and read back with each field parsed by its annotation (_PARSE). The other
+# tables go out as tuples and come back as dicts of text: features, as _feature_matrix
+# rebuilds the mean dwell from total_dwell_h and the .12g mean_dwell_h would change the
+# fit's bytes; sweep, as report copies its text cells into summary.json; the rest, as
+# their headers are not attribute names.
 TABLES = {
-    "pois": ("ingest/pois.csv", "poi_id lat:.6f lon:.6f category"),
-    "reports": ("quality/reports.csv", "user_id tau_h:g T_d mu_T:.12g mu_S:.12g"),
-    "visits": ("visits/visits.csv", "user_id poi_id arrival departure dwell_s:.12g lat:.6f lon:.6f"),
+    "pois": ("ingest/pois.csv", "poi_id lat:.6f lon:.6f category", ingest_mod.PoiRecord),
+    "reports": ("quality/reports.csv", "user_id tau_h:g T_d mu_T:.12g mu_S:.12g", None),
+    "visits": ("visits/visits.csv", "user_id poi_id arrival departure dwell_s:.12g lat:.6f lon:.6f",
+               visits_mod.Visit),
     "features": (
         "visits/features.csv",
         "user_id poi_id n_days mean_dwell_h:.12g n_visits total_dwell_h:.12g",
+        None,
     ),
-    "sweep": ("fit/sweep.csv", "k cov_kind loglik:.12g bic:.12g aic:.12g converged"),
+    "sweep": ("fit/sweep.csv", "k cov_kind loglik:.12g bic:.12g aic:.12g converged", None),
     "labeled_features": (
         "classify/labeled_features.csv",
         "user_id poi_id n_days:g mean_dwell_h:.12g component label",
+        classify_mod.LabeledFeature,
     ),
-    "transitions": ("patterns/transitions.csv", "user_id from to count prob:.12g"),
-    "semantic_profile": ("patterns/semantic_profile.csv", "label rank category share:.12g"),
-    "temporal_profile": ("patterns/temporal_profile.csv", "label dow hour intensity:.12g"),
-    "spatial_grid": ("patterns/spatial_grid.csv", "label lat_idx lon_idx count"),
+    "transitions": ("patterns/transitions.csv", "user_id from to count prob:.12g", None),
+    "semantic_profile": ("patterns/semantic_profile.csv", "label rank category share:.12g", None),
+    "temporal_profile": ("patterns/temporal_profile.csv", "label dow hour intensity:.12g", None),
+    "spatial_grid": ("patterns/spatial_grid.csv", "label lat_idx lon_idx count", None),
 }
+# annotation -> cell parser; annotations are strings, as the row modules postpone them
+_PARSE = {"str": str, "int": int, "float": float, "datetime": datetime.fromisoformat,
+          "str | None": lambda cell: cell or None}
 
 
 def _sha256_file(path: str) -> str:
@@ -204,23 +217,36 @@ class Pipeline:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def _read_json(self, rel: str):
-        self._read(rel)
+    def _read_json(self, rel: str, key: str | None = None):
+        """An artifact's JSON document; with ``key``, only its member ``key``, the one read recorded."""
+        self._read(f"{rel}#{key}" if key else rel)
         with open(os.path.join(self.out, rel)) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
+        return doc[key] if key else doc
 
     def _write_table(self, table: str, rows) -> None:
-        rel, columns = TABLES[table]
+        """Write ``rows``: objects of the table's row class, or tuples in column order (see TABLES)."""
+        rel, columns, row_cls = TABLES[table]
         names, specs = zip(*(col.partition(":")[::2] for col in columns.split()))
+        if row_cls:
+            rows = ([getattr(obj, name) for name in names] for obj in rows)
         with open(self._staged(rel), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(names)
-            writer.writerows([format(v, s) if s else v for v, s in zip(row, specs)] for row in rows)
+            writer.writerows(
+                [format(v, s) if s else v.isoformat() if isinstance(v, datetime) else v for v, s in zip(row, specs)]
+                for row in rows
+            )
 
-    def _read_table(self, table: str) -> list[dict]:
-        self._read(TABLES[table][0])
-        with open(os.path.join(self.out, TABLES[table][0]), newline="") as fh:
-            return list(csv.DictReader(fh))
+    def _read_table(self, table: str) -> list:
+        rel, _, row_cls = TABLES[table]
+        self._read(rel)
+        with open(os.path.join(self.out, rel), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if not row_cls:
+            return rows
+        parsers = [(f.name, _PARSE[f.type]) for f in dataclasses.fields(row_cls)]
+        return [row_cls(**{name: parse(r[name]) for name, parse in parsers}) for r in rows]
 
     def _log(self, stage: str, event: str, **extra) -> None:
         if self.progress_json:
@@ -232,10 +258,19 @@ class Pipeline:
         """Current value of something a stage reads.
 
         ``<stage>/<path>`` is an artifact's digest in the manifest (None when it
-        is absent); a trailing ``/`` names every artifact under that directory.
-        ``source`` is the package source, ``inputs`` the raw input files, and
-        ``<section>.<field>`` a config field.
+        is absent); a trailing ``/`` names every artifact under that directory,
+        and ``<stage>/<path>#<member>`` is the digest of that member of the JSON
+        artifact as it is now (None when the file is absent). ``source`` is the
+        package source, ``inputs`` the raw input files, and ``<section>.<field>``
+        a config field.
         """
+        rel, _, member = key.partition("#")
+        if member:
+            path = os.path.join(self.out, rel)
+            if not os.path.exists(path):
+                return None
+            with open(path) as fh:
+                return _digest(json.load(fh)[member])
         if "/" in key:
             outputs = self.manifest["stages"].get(key.partition("/")[0], {}).get("outputs", {})
             if key.endswith("/"):
@@ -335,16 +370,7 @@ class Pipeline:
         if poi_path:
             with open(poi_path) as fh:
                 pois, _ = ingest_mod.parse_poi_file(fh, cfg("poi_column_map"))
-            self._write_table(
-                "pois",
-                ((p.poi_id, p.lat, p.lon, p.category) for p in sorted(pois, key=lambda p: p.poi_id)),
-            )
-
-    def _load_pois(self) -> list[ingest_mod.PoiRecord]:
-        return [
-            ingest_mod.PoiRecord(r["poi_id"], float(r["lat"]), float(r["lon"]), r["category"])
-            for r in self._read_table("pois")
-        ]
+            self._write_table("pois", sorted(pois, key=lambda p: p.poi_id))
 
     def _stage_quality(self) -> None:
         cfg = self._section("quality")
@@ -381,12 +407,11 @@ class Pipeline:
 
     def _stage_visits(self) -> None:
         cfg = self._section("visits")
-        cohort = self._read_json("quality/cohort.json")["users"]
+        cohort = self._read_json("quality/cohort.json", "users")
         for user in cohort:
             self._read(os.path.join("ingest", ingest_mod.trace_file(user)))
         traces = ingest_mod.read_traces(self.stage_dir("ingest"), users=cohort)
-        pois = self._load_pois()
-        index = visits_mod.SpatialIndex(pois, cell_m=cfg("snap_radius_m"))
+        index = visits_mod.SpatialIndex(self._read_table("pois"), cell_m=cfg("snap_radius_m"))
 
         all_visits: list[visits_mod.Visit] = []
         for user in cohort:
@@ -397,14 +422,7 @@ class Pipeline:
             visits_mod.snap_visits(vs, index, cfg("snap_radius_m"))
             all_visits += vs
 
-        self._write_table(
-            "visits",
-            (
-                (v.user_id, v.poi_id, v.arrival.isoformat(), v.departure.isoformat(),
-                 v.dwell_s, v.lat, v.lon)
-                for v in all_visits
-            ),
-        )
+        self._write_table("visits", all_visits)
         features, unsnapped = visits_mod.aggregate_features(all_visits)
         self._write_table(
             "features",
@@ -474,40 +492,13 @@ class Pipeline:
         labeling = classify_mod.assign_labels(model, fm, rules)
         labeled = classify_mod.classify_features(fm, model, labeling, rules)
 
-        self._write_table(
-            "labeled_features",
-            (
-                (lf.user_id, lf.poi_id, lf.n_days, lf.mean_dwell_h, lf.component, lf.label)
-                for lf in labeled
-            ),
-        )
+        self._write_table("labeled_features", labeled)
         self._write_json("classify/labeling.json", labeling.to_dict())
-
-    def _load_labeled_features(self) -> list[classify_mod.LabeledFeature]:
-        return [
-            classify_mod.LabeledFeature(
-                r["user_id"], r["poi_id"], float(r["n_days"]), float(r["mean_dwell_h"]),
-                int(r["component"]), r["label"],
-            )
-            for r in self._read_table("labeled_features")
-        ]
-
-    def _load_visits(self) -> list[visits_mod.Visit]:
-        return [
-            visits_mod.Visit(
-                r["user_id"], float(r["lat"]), float(r["lon"]),
-                datetime.fromisoformat(r["arrival"]), datetime.fromisoformat(r["departure"]),
-                r["poi_id"] or None,
-            )
-            for r in self._read_table("visits")
-        ]
 
     def _stage_patterns(self) -> None:
         cfg = self._section("patterns")
-        labeled = self._load_labeled_features()
-        visits = self._load_visits()
-        lvisits = patterns_mod.label_visits(visits, labeled)
-        categories = {p.poi_id: p.category for p in self._load_pois()}
+        lvisits = patterns_mod.label_visits(self._read_table("visits"), self._read_table("labeled_features"))
+        categories = {p.poi_id: p.category for p in self._read_table("pois")}
         labels = patterns_mod.LABELS
 
         by_user: dict[str, list] = {}
@@ -582,7 +573,7 @@ class Pipeline:
 
     def _stage_report(self) -> None:
         cohort = self._read_json("quality/cohort.json")
-        labeled = self._load_labeled_features()
+        labeled = self._read_table("labeled_features")
         label_counts = {lab: 0 for lab in classify_mod.LABELS}
         for lf in labeled:
             label_counts[lf.label] += 1

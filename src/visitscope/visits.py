@@ -125,16 +125,12 @@ def extract_stay_points(
     return visits
 
 
-def snap_to_poi(visit: Visit, index: SpatialIndex, radius_m: float = DEFAULT_SNAP_RADIUS_M) -> str | None:
-    poi = index.nearest(visit.lat, visit.lon, radius_m)
-    return poi.poi_id if poi else None
-
-
 def snap_visits(
     visits: list[Visit], index: SpatialIndex, radius_m: float = DEFAULT_SNAP_RADIUS_M
 ) -> list[Visit]:
     for v in visits:
-        v.poi_id = snap_to_poi(v, index, radius_m)
+        poi = index.nearest(v.lat, v.lon, radius_m)
+        v.poi_id = poi.poi_id if poi else None
     return visits
 
 

@@ -318,6 +318,7 @@ def rerun(config, run, capsys, **sections):
         ({"quality": {"tau_set": [1.0, 4.0]}}, ["quality"]),  # the cohort's cell is unchanged
         ({"model": {"k_max": 6}}, ["fit", "report"]),  # model.json is unchanged; sweep.csv is not
         ({"patterns": {"top_k": 3}}, ["patterns"]),
+        ({"quality": {"t_days": 5}}, ["quality", "patterns", "report"]),  # the cohort's users are unchanged
     ],
 )
 def test_edit_reruns_only_the_stages_that_read_it(completed_run, tmp_path, capsys, sections, stages):

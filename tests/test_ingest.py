@@ -18,6 +18,17 @@ from visitscope.ingest import (
 PLT_HEADER = "line1\nline2\nline3\nline4\nline5\nline6\n"
 
 
+def check_trace(trace):
+    """Raise if the trace violates its ordering/ownership invariants."""
+    prev = None
+    for r in trace.records:
+        if r.user_id != trace.user_id:
+            raise ValueError(f"record user {r.user_id!r} in trace {trace.user_id!r}")
+        if prev is not None and r.t < prev:
+            raise ValueError(f"trace {trace.user_id!r} not chronological at {r.t}")
+        prev = r.t
+
+
 def test_parse_plt_line():
     body = "39.984702,116.318417,0,492,39744.1201851852,2008-10-23,02:53:04\n"
     records, stats = parse_plt(io.StringIO(PLT_HEADER + body), "000")
@@ -205,7 +216,7 @@ def test_write_read_roundtrip(tmp_path):
     # 6-decimal coordinate precision preserved on round trip
     assert loaded["a"].records[0].lat == pytest.approx(39.123457, abs=1e-9)
     for trace in loaded.values():
-        trace.check()
+        check_trace(trace)
 
 
 def test_read_traces_loads_only_the_listed_users(tmp_path):
@@ -230,4 +241,4 @@ def test_user_ids_stay_inside_the_trace_store(tmp_path):
         u: [r.t for r in t.records] for u, t in traces.items()
     }
     for trace in loaded.values():
-        trace.check()
+        check_trace(trace)
