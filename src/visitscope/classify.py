@@ -41,11 +41,12 @@ class LabelingRules:
     override_enabled: bool = True
 
     def __post_init__(self):
+        # a message starts with the field it names, which a config error then reports
         for label, (pf, pd_) in self.anchors.items():
             if not (0.0 <= pf <= 100.0 and 0.0 <= pd_ <= 100.0):
-                raise ValueError(f"anchor for {label} outside [0, 100]^2")
+                raise ValueError(f"anchors entry {label} outside [0, 100]^2")
         if self.dwell_override_h <= 0:
-            raise ValueError("dwell override threshold must be positive")
+            raise ValueError("dwell_override_h must be positive")
 
 
 @dataclass

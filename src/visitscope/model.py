@@ -24,12 +24,21 @@ class GmmParams:
     n_init: int = 5
 
     def __post_init__(self):
+        # a message starts with the field it names, which a config error then reports
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.cov_kind not in COV_KINDS:
             raise ValueError(f"cov_kind must be one of {COV_KINDS}")
-        if self.tol <= 0 or self.reg_covar < 0:
-            raise ValueError("tol must be positive and reg_covar non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.reg_covar < 0:
+            raise ValueError("reg_covar must be non-negative")
+        if self.n_init < 1:
+            raise ValueError("n_init must be >= 1")
 
 
 @dataclass

@@ -113,6 +113,8 @@ def semantic_top_k(
     visits: list[LabeledVisit], categories: dict[str, str], k: int = 5
 ) -> SemanticProfile:
     """Per label, category share of visits; top-k by share, ties by name."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     counts: dict[str, dict[str, int]] = {lab: {} for lab in LABELS}
     totals: dict[str, int] = {lab: 0 for lab in LABELS}
     for v in visits:

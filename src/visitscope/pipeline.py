@@ -22,6 +22,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 
+import numpy as np
+
 from . import classify as classify_mod
 from . import ingest as ingest_mod
 from . import model as model_mod
@@ -38,6 +40,33 @@ class ConfigError(Exception):
     """Invalid configuration; the message starts with the offending field path."""
 
 
+def _defaults(cls) -> dict:
+    """The config fields of a library parameter object: its fields with a plain default."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+def _check_type(path: str, val, default) -> None:
+    # an int may stand for a float; a bool stands only for a bool; a list's items have its default's item type
+    want = type(default)
+    types = (int, float) if want is float else want
+    if isinstance(val, bool) != (want is bool) or not isinstance(val, types):
+        raise ConfigError(f"{path}: expected {want.__name__}, got {type(val).__name__}")
+    for item in val if want is list and default else ():
+        _check_type(path, item, default[0])
+
+
+def _build(section: str, cls, get, cell: dict | None = None):
+    """``cls`` from its fields, each from ``get(name)`` or ``cell``; its ValueError, whose message starts with
+    the field it names, becomes a ConfigError on that field, or on the grid set a ``cell`` value came from."""
+    cell = cell or {}
+    try:
+        return cls(**{**{name: get(name) for name in _defaults(cls)}, **cell})
+    except ValueError as exc:
+        name = str(exc).split()[0]
+        name = {"tau_hours": "tau_set", "t_days": "t_set"}[name] if name in cell else name
+        raise ConfigError(f"{section}.{name}: {exc}") from None
+
+
 @dataclass
 class PipelineConfig:
     out_dir: str
@@ -48,35 +77,19 @@ class PipelineConfig:
     classify: dict = field(default_factory=dict)
     patterns: dict = field(default_factory=dict)
 
+    # each value's type is the type a config value must have; the library objects own their defaults
     DEFAULTS = {
-        "quality": {
-            "p_hours": 24.0,
-            "tau_hours": 1.0,
-            "t_days": 15,
-            "max_speed_kmh": 150.0,
-            "tau_set": [1.0, 4.0, 6.0],
-            "t_set": [7, 15, 30],
-            "mu_t_min": 1.0,
-            "mu_s_min": 0.99,
-        },
+        "ingest": {"plt_root": "", "poi_csv": "", "poi_column_map": {}, "trajectory_csvs": [],
+                   "trajectory_column_map": {}},
+        "quality": {**_defaults(quality_mod.CompletenessParams), "tau_set": list(quality_mod.DEFAULT_TAU_SET_H),
+                    "t_set": list(quality_mod.DEFAULT_T_SET_D), "mu_t_min": 1.0, "mu_s_min": 0.99},
         "visits": {
             "dist_thresh_m": visits_mod.DEFAULT_DIST_THRESH_M,
             "time_thresh_s": visits_mod.DEFAULT_TIME_THRESH_S,
             "snap_radius_m": visits_mod.DEFAULT_SNAP_RADIUS_M,
         },
-        "model": {
-            "k": 7,
-            "cov_kind": "tied",
-            "k_max": 21,
-            "seed": 0,
-            "transform": "log1p",
-            "max_iter": 500,
-            "tol": 1e-6,
-            "reg_covar": 1e-6,
-            "n_init": 5,
-            "run_sweep": True,
-        },
-        "classify": {"dwell_override_h": 24.0, "override_enabled": True},
+        "model": {**_defaults(model_mod.GmmParams), "k_max": 21, "transform": "log1p", "run_sweep": True},
+        "classify": _defaults(classify_mod.LabelingRules),
         "patterns": {"k_m": 3, "cell_deg": patterns_mod.DEFAULT_CELL_DEG, "top_k": 5},
     }
 
@@ -87,73 +100,60 @@ class PipelineConfig:
         out_dir = raw.get("out_dir")
         if not out_dir or not isinstance(out_dir, str):
             raise ConfigError("out_dir: required string")
-        if not isinstance(raw.get("ingest", {}), dict):
-            raise ConfigError("ingest: must be an object")
-        cfg = cls(out_dir=out_dir, ingest=dict(raw.get("ingest", {})))
-        for section in ("quality", "visits", "model", "classify", "patterns"):
-            merged = dict(cls.DEFAULTS[section])
+        unknown = sorted(raw.keys() - cls.DEFAULTS.keys() - {"out_dir"})
+        if unknown:
+            raise ConfigError(f"{unknown[0]}: unknown section")
+        cfg = cls(out_dir=out_dir)
+        for section, defaults in cls.DEFAULTS.items():
             user = raw.get(section, {})
             if not isinstance(user, dict):
                 raise ConfigError(f"{section}: must be an object")
             for key, val in user.items():
-                if key not in merged:
+                if key not in defaults:
                     raise ConfigError(f"{section}.{key}: unknown field")
-                # an int may stand for a float; a bool stands only for a bool
-                want = type(merged[key])
-                types = (int, float) if want is float else want
-                if isinstance(val, bool) != (want is bool) or not isinstance(val, types):
-                    raise ConfigError(f"{section}.{key}: expected {want.__name__}, got {type(val).__name__}")
-                merged[key] = val
-            setattr(cfg, section, merged)
+                _check_type(f"{section}.{key}", val, defaults[key])
+            setattr(cfg, section, {**defaults, **user})
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
+        """Build the parameter objects the stages build, and check the rules no library object owns."""
         q = self.quality
-        if not (0 < q["tau_hours"] <= q["p_hours"]):
-            raise ConfigError("quality.tau_hours: must satisfy 0 < tau <= P")
-        if q["t_days"] < 1:
-            raise ConfigError("quality.t_days: must be >= 1")
-        if q["max_speed_kmh"] <= 0:
-            raise ConfigError("quality.max_speed_kmh: must be positive")
-        if self.model["cov_kind"] not in model_mod.COV_KINDS:
-            raise ConfigError(f"model.cov_kind: must be one of {model_mod.COV_KINDS}")
-        if self.model["k"] < 1:
-            raise ConfigError("model.k: must be >= 1")
-        if self.model["transform"] not in ("none", "log1p"):
-            raise ConfigError("model.transform: must be 'none' or 'log1p'")
-        if self.patterns["k_m"] < 1:
-            raise ConfigError("patterns.k_m: must be >= 1")
-        for key in ("plt_root", "poi_csv"):
-            path = self.ingest.get(key)
-            if path and not os.path.exists(path):
-                raise ConfigError(f"ingest.{key}: path does not exist: {path}")
-        for path in self.ingest.get("trajectory_csvs", []):
-            if not os.path.exists(path):
-                raise ConfigError(f"ingest.trajectory_csvs: path does not exist: {path}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        for cell in [{}] + [{"tau_hours": tau, "t_days": t} for tau in q["tau_set"] for t in q["t_set"]]:
+            _build("quality", quality_mod.CompletenessParams, q.get, cell)  # the cohort's (tau, T), then the grid
+        _build("model", model_mod.GmmParams, self.model.get)
+        _build("classify", classify_mod.LabelingRules, self.classify.get)
+        transforms = visits_mod.TRANSFORMS
+        rules = [
+            ("model.transform", self.model["transform"] in transforms, f"must be one of {transforms}"),
+            ("visits.snap_radius_m", self.visits["snap_radius_m"] > 0, "must be positive"),
+            ("patterns.k_m", self.patterns["k_m"] >= 1, "must be >= 1"),
+            ("patterns.cell_deg", self.patterns["cell_deg"] > 0, "must be positive"),
+            ("patterns.top_k", self.patterns["top_k"] >= 0, "must be >= 0"),
+        ]
+        paths = [(key, self.ingest[key]) for key in ("plt_root", "poi_csv") if self.ingest[key]]
+        paths += [("trajectory_csvs", path) for path in self.ingest["trajectory_csvs"]]
+        rules += [(f"ingest.{key}", isinstance(path, str) and os.path.exists(path), f"path does not exist: {path}")
+                  for key, path in paths]
+        for path, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{path}: {rule}")
 
 
 # table -> (path under <out>, columns, row class). A column "name:spec" is written as
 # f"{value:spec}", a bare "name" as the csv module writes the value (None as an empty
 # field) and a datetime as its isoformat(). A row class's objects are written column by
-# attribute and read back with each field parsed by its annotation (_PARSE). The other
-# tables go out as tuples and come back as dicts of text: features, as _feature_matrix
-# rebuilds the mean dwell from total_dwell_h and the .12g mean_dwell_h would change the
-# fit's bytes; sweep, as report copies its text cells into summary.json; the rest, as
-# their headers are not attribute names.
+# attribute and read back with each field parsed by its annotation (_PARSE); a column
+# that is no field (visits' dwell_s, features' mean_dwell_h) is not read back. The
+# other tables go out as tuples and come back as dicts of text: sweep, as report copies
+# its text cells into summary.json; the rest, as their headers are not attribute names.
 TABLES = {
     "pois": ("ingest/pois.csv", "poi_id lat:.6f lon:.6f category", ingest_mod.PoiRecord),
     "reports": ("quality/reports.csv", "user_id tau_h:g T_d mu_T:.12g mu_S:.12g", None),
     "visits": ("visits/visits.csv", "user_id poi_id arrival departure dwell_s:.12g lat:.6f lon:.6f",
                visits_mod.Visit),
-    "features": (
-        "visits/features.csv",
-        "user_id poi_id n_days mean_dwell_h:.12g n_visits total_dwell_h:.12g",
-        None,
-    ),
+    "features": ("visits/features.csv", "user_id poi_id n_days mean_dwell_h:.12g n_visits total_dwell_h:.12g",
+                 visits_mod.VisitFeature),
     "sweep": ("fit/sweep.csv", "k cov_kind loglik:.12g bic:.12g aic:.12g converged", None),
     "labeled_features": (
         "classify/labeled_features.csv",
@@ -182,11 +182,26 @@ def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _plt_files(root: str) -> list[str]:
+    """The PLT files under a Geolife root, sorted; none for an empty root."""
+    return sorted(glob.glob(os.path.join(root, "**", "*.plt"), recursive=True)) if root else []
+
+
 @functools.cache
 def source_digest() -> str:
     """Digest of the package's source files, so that no other version's artifacts are reused."""
     pkg = os.path.dirname(os.path.abspath(__file__))
     return _digest({name: _sha256_file(os.path.join(pkg, name)) for name in glob.glob("*.py", root_dir=pkg)})
+
+
+@functools.cache
+def numeric_stack() -> dict:
+    """numpy's version and, where numpy reports it, its BLAS build: they decide the fit's last bits."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        return {"numpy": np.__version__}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 class Pipeline:
@@ -200,7 +215,7 @@ class Pipeline:
         if os.path.exists(self.manifest_path):
             with open(self.manifest_path) as fh:
                 self.manifest = json.load(fh)
-        self.manifest["config"] = config.to_dict()
+        self.manifest["config"] = asdict(config)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -261,8 +276,8 @@ class Pipeline:
         is absent); a trailing ``/`` names every artifact under that directory,
         and ``<stage>/<path>#<member>`` is the digest of that member of the JSON
         artifact as it is now (None when the file is absent). ``source`` is the
-        package source, ``inputs`` the raw input files, and ``<section>.<field>``
-        a config field.
+        package source, ``numpy`` the numeric stack, ``inputs`` the raw input
+        files, and ``<section>.<field>`` a config field.
         """
         rel, _, member = key.partition("#")
         if member:
@@ -278,13 +293,12 @@ class Pipeline:
             return outputs.get(key)
         if key == "source":
             return source_digest()
+        if key == "numpy":
+            return numeric_stack()
         if key == "inputs":
             ingest = self.config.ingest
-            files = list(ingest.get("trajectory_csvs", []))
-            if ingest.get("plt_root"):
-                files += glob.glob(os.path.join(ingest["plt_root"], "**", "*.plt"), recursive=True)
-            if ingest.get("poi_csv"):
-                files.append(ingest["poi_csv"])
+            files = _plt_files(ingest["plt_root"]) + ingest["trajectory_csvs"]
+            files += [ingest["poi_csv"]] if ingest["poi_csv"] else []
             return _digest({path: _sha256_file(path) for path in files})
         section, _, name = key.partition(".")
         return getattr(self.config, section).get(name)
@@ -341,25 +355,18 @@ class Pipeline:
     def _stage_ingest(self) -> None:
         cfg = self._section("ingest")
         self._read("inputs")
+        root, csvs = cfg("plt_root"), cfg("trajectory_csvs")
+        sources = _plt_files(root) + csvs
         records: list[ingest_mod.MobilityRecord] = []
-        sources: list[str] = []
         errors = 0
-
-        root = cfg("plt_root")
-        if root:
-            for path in sorted(glob.glob(os.path.join(root, "**", "*.plt"), recursive=True)):
-                user = os.path.relpath(path, root).split(os.sep)[0]
-                with open(path) as fh:
-                    recs, stats = ingest_mod.parse_plt(fh, user)
-                records += recs
-                errors += stats.skipped
-                sources.append(path)
-        for path in cfg("trajectory_csvs") or []:
+        for path in sources:
             with open(path) as fh:
-                recs, stats = ingest_mod.parse_trajectory_csv(fh, cfg("trajectory_column_map"))
+                if path in csvs:
+                    recs, stats = ingest_mod.parse_trajectory_csv(fh, cfg("trajectory_column_map"))
+                else:  # a PLT file's user is its top directory under the root
+                    recs, stats = ingest_mod.parse_plt(fh, os.path.relpath(path, root).split(os.sep)[0])
             records += recs
             errors += stats.skipped
-            sources.append(path)
 
         traces, build_stats = ingest_mod.build_traces(records)
         manifest = ingest_mod.write_traces(traces, self._staged("ingest"), sources, errors)
@@ -424,13 +431,7 @@ class Pipeline:
 
         self._write_table("visits", all_visits)
         features, unsnapped = visits_mod.aggregate_features(all_visits)
-        self._write_table(
-            "features",
-            (
-                (f.user_id, f.poi_id, f.n_days, f.mean_dwell_h, f.n_visits, f.total_dwell_s / 3600.0)
-                for f in features
-            ),
-        )
+        self._write_table("features", features)
         self._write_json(
             "visits/meta.json",
             {
@@ -440,31 +441,14 @@ class Pipeline:
             },
         )
 
-    def _feature_matrix(self) -> visits_mod.FeatureMatrix:
-        features = [
-            visits_mod.VisitFeature(
-                r["user_id"], r["poi_id"], int(r["n_days"]), int(r["n_visits"]),
-                float(r["total_dwell_h"]) * 3600.0,
-            )
-            for r in self._read_table("features")
-        ]
-        return visits_mod.feature_matrix(features, self._read("model.transform"))
-
-    def _gmm_params(self) -> model_mod.GmmParams:
-        fields = ("k", "cov_kind", "seed", "max_iter", "tol", "reg_covar", "n_init")
-        return model_mod.GmmParams(**{f: self._read(f"model.{f}") for f in fields})
-
     def _stage_fit(self) -> None:
         cfg = self._section("model")
-        fm = self._feature_matrix()
+        self._read("numpy")  # numpy's build decides the floats' last bits, here as in classify and patterns
+        fm = visits_mod.feature_matrix(self._read_table("features"), self._read("model.transform"))
+        params = _build("model", model_mod.GmmParams, cfg)
 
         if cfg("run_sweep"):
-            result = model_mod.sweep(
-                fm.x,
-                k_max=cfg("k_max"),
-                params=self._gmm_params(),
-                selected=(cfg("k"), cfg("cov_kind")),
-            )
+            result = model_mod.sweep(fm.x, k_max=cfg("k_max"), params=params, selected=(cfg("k"), cfg("cov_kind")))
             self._write_table(
                 "sweep",
                 ((c.k, c.cov_kind, c.loglik, c.bic, c.aic, c.converged) for c in result.rows()),
@@ -479,16 +463,17 @@ class Pipeline:
                 },
             )
 
-        model = model_mod.fit_gmm(fm.x, self._gmm_params())
+        model = model_mod.fit_gmm(fm.x, params)
         doc = model.to_dict()
         doc["seed"] = cfg("seed")
         doc["transform"] = fm.transform
         self._write_json("fit/model.json", doc)
 
     def _stage_classify(self) -> None:
-        fm = self._feature_matrix()
+        self._read("numpy")
+        fm = visits_mod.feature_matrix(self._read_table("features"), self._read("model.transform"))
         model = model_mod.GmmModel.from_dict(self._read_json("fit/model.json"))
-        rules = classify_mod.LabelingRules(**{f: self._read(f"classify.{f}") for f in self.config.classify})
+        rules = _build("classify", classify_mod.LabelingRules, self._section("classify"))
         labeling = classify_mod.assign_labels(model, fm, rules)
         labeled = classify_mod.classify_features(fm, model, labeling, rules)
 
@@ -497,6 +482,7 @@ class Pipeline:
 
     def _stage_patterns(self) -> None:
         cfg = self._section("patterns")
+        self._read("numpy")
         lvisits = patterns_mod.label_visits(self._read_table("visits"), self._read_table("labeled_features"))
         categories = {p.poi_id: p.category for p in self._read_table("pois")}
         labels = patterns_mod.LABELS

@@ -28,12 +28,13 @@ class CompletenessParams:
     max_speed_kmh: float = 150.0
 
     def __post_init__(self):
+        # a message starts with the field it names, which a config error then reports
         if self.tau_hours <= 0 or self.tau_hours > self.p_hours:
-            raise ValueError("require 0 < tau <= P")
+            raise ValueError("tau_hours must satisfy 0 < tau_hours <= p_hours")
         if self.t_days < 1:
-            raise ValueError("require T >= 1 day")
+            raise ValueError("t_days must be >= 1")
         if self.max_speed_kmh <= 0:
-            raise ValueError("require max_speed > 0")
+            raise ValueError("max_speed_kmh must be positive")
 
     @property
     def n_bins(self) -> int:

@@ -15,6 +15,8 @@ DEFAULT_DIST_THRESH_M = 200.0
 DEFAULT_TIME_THRESH_S = 600.0
 DEFAULT_SNAP_RADIUS_M = 100.0
 
+TRANSFORMS = ("none", "log1p")  # of the features before the fit
+
 M_PER_DEG_LAT = 110_574.0
 M_PER_DEG_LON_EQ = 111_320.0
 
@@ -43,15 +45,12 @@ class VisitFeature:
     poi_id: str
     n_days: int
     n_visits: int
-    total_dwell_s: float
-
-    @property
-    def mean_dwell_s(self) -> float:
-        return self.total_dwell_s / self.n_visits
+    total_dwell_h: float
 
     @property
     def mean_dwell_h(self) -> float:
-        return self.mean_dwell_s / 3600.0
+        # by way of seconds, the arithmetic the fit's bytes were made with
+        return self.total_dwell_h * 3600.0 / self.n_visits / 3600.0
 
 
 class SpatialIndex:
@@ -149,7 +148,7 @@ def aggregate_features(visits: list[Visit]) -> tuple[list[VisitFeature], int]:
         vs = groups[(user, poi)]
         days = {v.arrival.date() for v in vs}
         features.append(
-            VisitFeature(user, poi, len(days), len(vs), sum(v.dwell_s for v in vs))
+            VisitFeature(user, poi, len(days), len(vs), sum(v.dwell_s for v in vs) / 3600.0)
         )
     return features, unsnapped
 
@@ -165,7 +164,7 @@ class FeatureMatrix:
 
 
 def feature_matrix(features: list[VisitFeature], transform: str = "log1p") -> FeatureMatrix:
-    if transform not in ("none", "log1p"):
+    if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
     raw = np.array([[f.n_days, f.mean_dwell_h] for f in features], dtype=float)
     raw = raw.reshape(-1, 2)

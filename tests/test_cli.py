@@ -1,9 +1,12 @@
+import csv
+import glob
 import json
 import os
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import visitscope
@@ -118,17 +121,8 @@ def test_unknown_field_is_config_error(fixture_root, tmp_path, capsys):
     assert "quality.tau_hourz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "section, value, field",
-    [
-        ("quality", {"tau_hours": "4"}, "quality.tau_hours"),
-        ("model", {"k": "7"}, "model.k"),
-        ("model", {"k": True}, "model.k"),
-        ("ingest", "x", "ingest"),
-        ("quality", {"t_days": 7.5}, "quality.t_days"),
-    ],
-)
-def test_wrongly_typed_value_is_config_error(fixture_root, tmp_path, capsys, section, value, field):
+def assert_config_error(fixture_root, tmp_path, capsys, section, value, field):
+    """`visitscope all` with ``value`` merged into ``section`` exits 2, names ``field`` and runs no stage."""
     root, poi_csv = fixture_root
     config = write_config(str(tmp_path / "config.json"), root, poi_csv, str(tmp_path / "out"))
     with open(config) as fh:
@@ -140,6 +134,45 @@ def test_wrongly_typed_value_is_config_error(fixture_root, tmp_path, capsys, sec
     err = capsys.readouterr().err
     assert f"config error: {field}:" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "section, value, field",
+    [
+        ("quality", {"tau_hours": "4"}, "quality.tau_hours"),
+        ("model", {"k": "7"}, "model.k"),
+        ("model", {"k": True}, "model.k"),
+        ("ingest", "x", "ingest"),
+        ("quality", {"t_days": 7.5}, "quality.t_days"),
+        ("quality", {"t_set": [7, 7.5]}, "quality.t_set"),
+        ("quality", {"tau_set": [1.0, "4"]}, "quality.tau_set"),
+    ],
+)
+def test_wrongly_typed_value_is_config_error(fixture_root, tmp_path, capsys, section, value, field):
+    assert_config_error(fixture_root, tmp_path, capsys, section, value, field)
+
+
+@pytest.mark.parametrize(
+    "section, value, field",
+    [
+        ("model", {"tol": -1}, "model.tol"),
+        ("model", {"reg_covar": -1}, "model.reg_covar"),
+        ("model", {"n_init": 0}, "model.n_init"),
+        ("model", {"max_iter": 0}, "model.max_iter"),
+        ("model", {"seed": -1}, "model.seed"),
+        ("visits", {"snap_radius_m": 0}, "visits.snap_radius_m"),
+        ("quality", {"tau_set": [0]}, "quality.tau_set"),
+        ("quality", {"t_set": [0]}, "quality.t_set"),
+        ("classify", {"dwell_override_h": 0}, "classify.dwell_override_h"),
+        ("patterns", {"cell_deg": 0}, "patterns.cell_deg"),
+        ("patterns", {"top_k": -1}, "patterns.top_k"),
+        ("ingest", {"plt_roots": "x"}, "ingest.plt_roots"),
+        ("ingest", {"poi_column_map": "x"}, "ingest.poi_column_map"),
+        ("patern", {"k_m": 2}, "patern"),
+    ],
+)
+def test_out_of_range_value_is_config_error(fixture_root, tmp_path, capsys, section, value, field):
+    assert_config_error(fixture_root, tmp_path, capsys, section, value, field)
 
 
 def test_unreadable_config_is_config_error(tmp_path, capsys):
@@ -340,6 +373,59 @@ def test_source_change_reruns_every_stage(completed_run, tmp_path, capsys, monke
     assert rerun(config, run, capsys) == list(pipeline.STAGES)
     assert rerun(config, run, capsys) == []
     assert tree_files(run) == tree_files(out)
+
+
+def test_numpy_change_reruns_the_stages_whose_floats_it_computes(completed_run, tmp_path, capsys, monkeypatch):
+    config, out = completed_run
+    with open(os.path.join(out, "run_manifest.json")) as fh:
+        entries = json.load(fh)["stages"]
+    assert [s for s in pipeline.STAGES if "numpy" in entries[s]["reads"]] == ["fit", "classify", "patterns"]
+    assert entries["fit"]["reads"]["numpy"]["numpy"] == np.__version__
+    run = str(tmp_path / "out")
+    shutil.copytree(out, run)
+    monkeypatch.setattr(np, "__version__", "0.0")
+    pipeline.numeric_stack.cache_clear()
+    try:
+        assert rerun(config, run, capsys) == ["fit", "classify", "patterns"]  # report: fit's bytes are unchanged
+        assert rerun(config, run, capsys) == []
+    finally:
+        pipeline.numeric_stack.cache_clear()
+    assert tree_files(run) == tree_files(out)
+
+
+def test_trajectory_csv_input_gives_the_plt_run(tmp_path, capsys):
+    """The fixes of a PLT tree, as one trajectory CSV, give the PLT run's artifacts."""
+    root = str(tmp_path / "geolife")
+    poi_csv = make_geolife_fixture(root, n_users=4, t_days=7, seed=5)
+    fixes = str(tmp_path / "fixes.csv")
+    with open(fixes, "w", newline="") as out:
+        writer = csv.writer(out)
+        writer.writerow(["device", "latitude", "longitude", "time"])
+        for path in sorted(glob.glob(os.path.join(root, "*", "Trajectory", "*.plt"))):
+            with open(path) as fh:
+                records, _ = ingest.parse_plt(fh, os.path.relpath(path, root).split(os.sep)[0])
+            writer.writerows((r.user_id, r.lat, r.lon, r.t.strftime("%Y-%m-%d %H:%M:%S")) for r in records)
+    plt_config = write_config(
+        str(tmp_path / "plt.json"), root, poi_csv, str(tmp_path / "plt"), model={"run_sweep": False}
+    )
+    with open(plt_config) as fh:
+        raw = json.load(fh)
+    del raw["ingest"]["plt_root"]
+    raw["ingest"]["trajectory_csvs"] = [fixes]
+    raw["ingest"]["trajectory_column_map"] = {"user": "device", "lat": "latitude", "lon": "longitude", "t": "time"}
+    raw["out_dir"] = str(tmp_path / "csv")
+    with open(tmp_path / "csv.json", "w") as fh:
+        json.dump(raw, fh)
+    reads = {}
+    for name, config in (("plt", plt_config), ("csv", str(tmp_path / "csv.json"))):
+        assert main(["all", "--config", config]) == 0
+        with open(tmp_path / name / "run_manifest.json") as fh:
+            reads[name] = json.load(fh)["stages"]["ingest"]["reads"]
+    plt_tree, csv_tree = tree_files(str(tmp_path / "plt")), tree_files(str(tmp_path / "csv"))
+    assert plt_tree.pop("ingest/manifest.json") != csv_tree.pop("ingest/manifest.json")  # it names the sources
+    assert csv_tree == plt_tree
+    assert "ingest.trajectory_column_map" in reads["csv"]
+    assert "ingest.trajectory_column_map" not in reads["plt"]
 
 
 def test_new_plt_user_reruns_quality_and_grows_the_cohort(fixture_root, tmp_path, capsys):

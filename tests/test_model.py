@@ -189,6 +189,19 @@ def test_fit_rejects_bad_input():
         fit_gmm(bad, GmmParams(k=2))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", 0), ("cov_kind", "round"), ("seed", -1), ("max_iter", 0), ("tol", 0.0), ("reg_covar", -1e-9),
+        ("n_init", 0),
+    ],
+)
+def test_params_reject_out_of_range_values(field, value):
+    # the message names the field first, as a config error reports it
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        GmmParams(**{field: value})
+
+
 def test_identical_points_regularized_not_crashing():
     x = np.ones((50, 2))
     model = fit_gmm(x, GmmParams(k=2, cov_kind="diagonal", seed=0))

@@ -159,6 +159,13 @@ def test_semantic_unknown_poi_ignored():
     assert prof.shares["G1"] == {}
 
 
+def test_semantic_rejects_negative_k():
+    visits = [lv("u", "G1", poi="pa")]
+    assert semantic_top_k(visits, {"pa": "food"}, k=0).top["G1"] == []
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        semantic_top_k(visits, {"pa": "food"}, k=-1)
+
+
 # --- temporal profiles ----------------------------------------------------------------
 
 def test_temporal_two_disjoint_users():

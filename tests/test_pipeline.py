@@ -16,6 +16,10 @@ TYPED_ROWS = {
         visits.Visit("u1", 39.9, 116.25, datetime(2024, 1, 1, 8, 0, 0, 123456), datetime(2024, 1, 1, 9, 30), "p1"),
         visits.Visit("u1", 39.95, 116.5, datetime(2024, 1, 2, 8), datetime(2024, 1, 2, 8, 20)),
     ],
+    "features": [
+        visits.VisitFeature("u1", "p1", 3, 4, 6.5),
+        visits.VisitFeature("u2", "p2", 1, 1, 0.25),
+    ],
     "labeled_features": [
         classify.LabeledFeature("u1", "p1", 2.5, 1.25, 3, "G5"),
         classify.LabeledFeature("u2", "p2", 7.0, 0.5, 0, "G6"),

@@ -9,6 +9,7 @@ from visitscope.quality import haversine
 from visitscope.visits import (
     SpatialIndex,
     Visit,
+    VisitFeature,
     aggregate_features,
     extract_stay_points,
     feature_matrix,
@@ -146,7 +147,13 @@ def test_aggregate_example():
     (f,) = feats
     assert (f.n_days, f.n_visits) == (2, 3)
     assert f.mean_dwell_h == pytest.approx(2.0)
-    assert f.total_dwell_s == pytest.approx(6 * 3600.0)
+    assert f.total_dwell_h == pytest.approx(6.0)
+
+
+def test_mean_dwell_goes_by_way_of_seconds():
+    # the arithmetic that visits/features.csv and the fit were made with; total_dwell_h / n_visits ends in ...906
+    f = VisitFeature("u", "p1", 1, 7, 3 / 3600.0)
+    assert f.mean_dwell_h == 0.00011904761904761905
 
 
 def test_aggregate_counts_unsnapped_and_conserves_visits():
