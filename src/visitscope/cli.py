@@ -1,4 +1,4 @@
-"""Command-line entry point: ``visitscope <stage> --config path [overrides...]``."""
+"""Command-line entry point: ``visitscope <stage> --config path [flags...]``."""
 
 from __future__ import annotations
 
@@ -11,6 +11,9 @@ from .pipeline import STAGES, ConfigError, Pipeline, PipelineConfig
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+# flag -> the config field it sets: flag > config > default
+FLAGS = {"--out": "out_dir", "--seed": "model.seed", "--tau": "quality.tau_hours", "--T": "quality.t_days",
+         "--max-speed": "quality.max_speed_kmh", "--mu-t-min": "quality.mu_t_min"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -20,12 +23,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("stage", choices=STAGES + ("all",), help="pipeline stage to run")
     parser.add_argument("--config", required=True, help="path to the pipeline config JSON")
-    parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--seed", type=int, help="override model.seed")
-    parser.add_argument("--tau", type=float, help="override quality.tau_hours")
-    parser.add_argument("--T", type=int, dest="t_days", help="override quality.t_days")
-    parser.add_argument("--max-speed", type=float, help="override quality.max_speed_kmh")
-    parser.add_argument("--mu-t-min", type=float, help="override quality.mu_t_min")
+    for flag, path in FLAGS.items():
+        section, _, key = path.rpartition(".")
+        kind = type(PipelineConfig.DEFAULTS[section][key]) if section else str  # the schema's type of the field
+        parser.add_argument(flag, type=kind, dest=path, metavar=kind.__name__.upper(), help=f"set {path}")
     parser.add_argument("--progress-json", action="store_true", help="machine-readable progress on stderr")
     return parser
 
@@ -38,21 +39,8 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(f"config: cannot read {args.config}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}")
-
-    # flag > config > default
-    if args.out:
-        raw["out_dir"] = args.out
-    if args.seed is not None:
-        raw.setdefault("model", {})["seed"] = args.seed
-    if args.tau is not None:
-        raw.setdefault("quality", {})["tau_hours"] = args.tau
-    if args.t_days is not None:
-        raw.setdefault("quality", {})["t_days"] = args.t_days
-    if args.max_speed is not None:
-        raw.setdefault("quality", {})["max_speed_kmh"] = args.max_speed
-    if args.mu_t_min is not None:
-        raw.setdefault("quality", {})["mu_t_min"] = args.mu_t_min
-    return PipelineConfig.from_dict(raw)
+    flags = {path: val for path in FLAGS.values() if (val := getattr(args, path)) is not None}
+    return PipelineConfig.from_dict(raw, flags)
 
 
 def main(argv: list[str] | None = None) -> int:

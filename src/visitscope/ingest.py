@@ -13,6 +13,9 @@ from urllib.parse import quote, unquote
 
 PLT_HEADER_LINES = 6
 COORD_DECIMALS = 6
+# the keys a column map must name, for a PoI CSV and for a trajectory CSV
+POI_COLUMNS = ("poi_id", "lat", "lon", "category")
+TRAJECTORY_COLUMNS = ("user", "lat", "lon", "t")
 # the date/time shape PLT files use, in ASCII digits: fromisoformat accepts or
 # rejects such a stamp exactly as strptime("%Y-%m-%d %H:%M:%S") does, and is
 # about ten times faster
@@ -133,7 +136,7 @@ def parse_trajectory_csv(
     carries the strptime pattern under ``t_format``. A missing mapped column
     is a hard error; bad rows are skipped and counted.
     """
-    reader = _mapped_rows(stream, column_map, ("user", "lat", "lon", "t"))
+    reader = _mapped_rows(stream, column_map, TRAJECTORY_COLUMNS)
     t_format = column_map.get("t_format", "%Y-%m-%d %H:%M:%S")
 
     stats = ParseStats()
@@ -161,7 +164,7 @@ def parse_trajectory_csv(
 
 def parse_poi_file(stream: IO[str] | IO[bytes], column_map: dict) -> tuple[list[PoiRecord], ParseStats]:
     """Parse a PoI CSV. ``column_map`` names ``poi_id``, ``lat``, ``lon``, ``category``."""
-    reader = _mapped_rows(stream, column_map, ("poi_id", "lat", "lon", "category"))
+    reader = _mapped_rows(stream, column_map, POI_COLUMNS)
     stats = ParseStats()
     pois: list[PoiRecord] = []
     for row in reader:
@@ -199,17 +202,14 @@ def build_traces(records: Iterable[MobilityRecord]) -> tuple[dict[str, MobilityT
         # stable sort on t preserves input order among equal timestamps
         recs.sort(key=lambda r: r.t)
         kept: list[MobilityRecord] = []
-        seen_t: dict[datetime, MobilityRecord] = {}
         for rec in recs:
-            prior = seen_t.get(rec.t)
-            if prior is None:
-                seen_t[rec.t] = rec
+            # sorted, so the first fix of rec.t, if any, is the last one kept
+            if not kept or kept[-1].t != rec.t:
                 kept.append(rec)
                 stats.kept += 1
-            elif prior.lat == rec.lat and prior.lon == rec.lon:
-                stats.deduped += 1
-            else:
-                stats.deduped += 1
+                continue
+            stats.deduped += 1
+            if kept[-1].lat != rec.lat or kept[-1].lon != rec.lon:
                 stats.conflicts += 1
         traces[user] = MobilityTrace(user, kept)
     return traces, stats

@@ -350,7 +350,6 @@ def cell_seed(base_seed: int, k: int, cov_kind: str) -> int:
 def sweep(
     x: np.ndarray,
     k_max: int = 21,
-    kinds=COV_KINDS,
     params: GmmParams | None = None,
     selected: tuple[int, str] = (7, "tied"),
 ) -> SweepResult:
@@ -362,7 +361,7 @@ def sweep(
         params = GmmParams()
     cells: dict[tuple[int, str], SweepCell] = {}
     for k in range(1, k_max + 1):
-        for kind in kinds:
+        for kind in COV_KINDS:
             cell_params = replace(
                 params, k=k, cov_kind=kind, seed=cell_seed(params.seed, k, kind),
                 n_init=1 if k == 1 else params.n_init,

@@ -94,10 +94,12 @@ class PipelineConfig:
     }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
+    def from_dict(cls, raw: dict, flags: dict | None = None) -> "PipelineConfig":
+        """``raw`` with each ``flags`` value set at its field path ("model.seed"), checked as a config value is."""
+        flags = flags or {}
         if not isinstance(raw, dict):
             raise ConfigError("config: must be a JSON object")
-        out_dir = raw.get("out_dir")
+        out_dir = flags.get("out_dir", raw.get("out_dir"))
         if not out_dir or not isinstance(out_dir, str):
             raise ConfigError("out_dir: required string")
         unknown = sorted(raw.keys() - cls.DEFAULTS.keys() - {"out_dir"})
@@ -108,6 +110,8 @@ class PipelineConfig:
             user = raw.get(section, {})
             if not isinstance(user, dict):
                 raise ConfigError(f"{section}: must be an object")
+            prefix = f"{section}."
+            user = {**user, **{p.removeprefix(prefix): val for p, val in flags.items() if p.startswith(prefix)}}
             for key, val in user.items():
                 if key not in defaults:
                     raise ConfigError(f"{section}.{key}: unknown field")
@@ -124,15 +128,25 @@ class PipelineConfig:
         _build("model", model_mod.GmmParams, self.model.get)
         _build("classify", classify_mod.LabelingRules, self.classify.get)
         transforms = visits_mod.TRANSFORMS
+        ingest = self.ingest
         rules = [
             ("model.transform", self.model["transform"] in transforms, f"must be one of {transforms}"),
+            ("model.k_max", self.model["k_max"] >= 1, "must be >= 1"),
+            ("visits.dist_thresh_m", self.visits["dist_thresh_m"] > 0, "must be positive"),
+            ("visits.time_thresh_s", self.visits["time_thresh_s"] >= 0, "must be >= 0"),
             ("visits.snap_radius_m", self.visits["snap_radius_m"] > 0, "must be positive"),
             ("patterns.k_m", self.patterns["k_m"] >= 1, "must be >= 1"),
             ("patterns.cell_deg", self.patterns["cell_deg"] > 0, "must be positive"),
             ("patterns.top_k", self.patterns["top_k"] >= 0, "must be >= 0"),
+            ("ingest.poi_csv", ingest["poi_csv"] != "", "required"),
+            ("ingest.plt_root", ingest["plt_root"] or ingest["trajectory_csvs"], "required without trajectory_csvs"),
         ]
-        paths = [(key, self.ingest[key]) for key in ("plt_root", "poi_csv") if self.ingest[key]]
-        paths += [("trajectory_csvs", path) for path in self.ingest["trajectory_csvs"]]
+        maps = [("poi_column_map", ingest_mod.POI_COLUMNS)]
+        maps += [("trajectory_column_map", ingest_mod.TRAJECTORY_COLUMNS)] if ingest["trajectory_csvs"] else []
+        rules += [(f"ingest.{key}", all(isinstance(ingest[key].get(col), str) for col in cols),
+                   f"must map each of {cols} to a column name") for key, cols in maps]
+        paths = [(key, ingest[key]) for key in ("plt_root", "poi_csv") if ingest[key]]
+        paths += [("trajectory_csvs", path) for path in ingest["trajectory_csvs"]]
         rules += [(f"ingest.{key}", isinstance(path, str) and os.path.exists(path), f"path does not exist: {path}")
                   for key, path in paths]
         for path, ok, rule in rules:

@@ -77,8 +77,6 @@ def temporal_completeness(
     of covered bins, clamped to [0, 1]. Records outside the window are
     ignored.
     """
-    if params.t_days < 1:
-        raise ValueError("T must be >= 1")
     return _temporal_from_offsets(_offsets(trace, window_start), params)
 
 

@@ -121,16 +121,20 @@ def test_unknown_field_is_config_error(fixture_root, tmp_path, capsys):
     assert "quality.tau_hourz" in capsys.readouterr().err
 
 
-def assert_config_error(fixture_root, tmp_path, capsys, section, value, field):
-    """`visitscope all` with ``value`` merged into ``section`` exits 2, names ``field`` and runs no stage."""
+def assert_config_error(fixture_root, tmp_path, capsys, section, value, field, flags=()):
+    """`visitscope all` with ``value`` merged into ``section`` (with no section, ``value`` as the whole config)
+    and ``flags`` exits 2, names ``field`` and runs no stage."""
     root, poi_csv = fixture_root
     config = write_config(str(tmp_path / "config.json"), root, poi_csv, str(tmp_path / "out"))
     with open(config) as fh:
         raw = json.load(fh)
-    raw[section] = {**raw.get(section, {}), **value} if isinstance(value, dict) else value
+    if section is None:
+        raw = value
+    else:
+        raw[section] = {**raw.get(section, {}), **value} if isinstance(value, dict) else value
     with open(config, "w") as fh:
         json.dump(raw, fh)
-    assert main(["all", "--config", config]) == 2
+    assert main(["all", "--config", config, *flags]) == 2
     err = capsys.readouterr().err
     assert f"config error: {field}:" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "out")
@@ -160,6 +164,9 @@ def test_wrongly_typed_value_is_config_error(fixture_root, tmp_path, capsys, sec
         ("model", {"n_init": 0}, "model.n_init"),
         ("model", {"max_iter": 0}, "model.max_iter"),
         ("model", {"seed": -1}, "model.seed"),
+        ("model", {"k_max": 0}, "model.k_max"),
+        ("visits", {"dist_thresh_m": 0}, "visits.dist_thresh_m"),
+        ("visits", {"time_thresh_s": -1}, "visits.time_thresh_s"),
         ("visits", {"snap_radius_m": 0}, "visits.snap_radius_m"),
         ("quality", {"tau_set": [0]}, "quality.tau_set"),
         ("quality", {"t_set": [0]}, "quality.t_set"),
@@ -168,11 +175,32 @@ def test_wrongly_typed_value_is_config_error(fixture_root, tmp_path, capsys, sec
         ("patterns", {"top_k": -1}, "patterns.top_k"),
         ("ingest", {"plt_roots": "x"}, "ingest.plt_roots"),
         ("ingest", {"poi_column_map": "x"}, "ingest.poi_column_map"),
+        ("ingest", {"poi_column_map": {}}, "ingest.poi_column_map"),
+        ("ingest", {"poi_csv": ""}, "ingest.poi_csv"),
+        ("ingest", {"plt_root": ""}, "ingest.plt_root"),  # and no trajectory_csvs
+        # load checks only that a trajectory CSV exists, so any file stands for one
+        ("ingest", {"trajectory_csvs": [__file__], "trajectory_column_map": {"user": "u", "lat": "a", "lon": "o"}},
+         "ingest.trajectory_column_map"),
         ("patern", {"k_m": 2}, "patern"),
     ],
 )
 def test_out_of_range_value_is_config_error(fixture_root, tmp_path, capsys, section, value, field):
     assert_config_error(fixture_root, tmp_path, capsys, section, value, field)
+
+
+@pytest.mark.parametrize(
+    "section, value, flags, field",
+    [
+        (None, [], ["--out", "out"], "config"),
+        ("model", [1], ["--seed", "3"], "model"),
+        ("quality", "x", ["--tau", "4"], "quality"),
+        ("quality", {}, ["--out", ""], "out_dir"),
+        ("quality", {}, ["--T", "0"], "quality.t_days"),
+    ],
+)
+def test_flag_is_checked_as_a_config_value(fixture_root, tmp_path, capsys, monkeypatch, section, value, flags, field):
+    monkeypatch.chdir(tmp_path)  # a relative --out names the directory that must not appear
+    assert_config_error(fixture_root, tmp_path, capsys, section, value, field, flags)
 
 
 def test_unreadable_config_is_config_error(tmp_path, capsys):
@@ -195,7 +223,7 @@ def test_flag_overrides_config(fixture_root, tmp_path):
     assert main(["quality", "--config", config, "--tau", "4", "--mu-t-min", "0.9"]) == 0
     with open(os.path.join(out, "quality", "cohort.json")) as fh:
         cohort = json.load(fh)
-    assert cohort["tau_hours"] == 4.0
+    assert cohort["tau_hours"] == 4.0 and isinstance(cohort["tau_hours"], float)  # the schema's type, as JSON 4.0
     assert cohort["mu_t_min"] == 0.9
 
 
