@@ -164,9 +164,6 @@ def test_wrongly_typed_value_is_config_error(fixture_root, tmp_path, capsys, sec
         ("model", {"n_init": 0}, "model.n_init"),
         ("model", {"max_iter": 0}, "model.max_iter"),
         ("model", {"seed": -1}, "model.seed"),
-        ("model", {"k_max": 0}, "model.k_max"),
-        ("visits", {"dist_thresh_m": 0}, "visits.dist_thresh_m"),
-        ("visits", {"time_thresh_s": -1}, "visits.time_thresh_s"),
         ("visits", {"snap_radius_m": 0}, "visits.snap_radius_m"),
         ("quality", {"tau_set": [0]}, "quality.tau_set"),
         ("quality", {"t_set": [0]}, "quality.t_set"),
@@ -175,13 +172,16 @@ def test_wrongly_typed_value_is_config_error(fixture_root, tmp_path, capsys, sec
         ("patterns", {"top_k": -1}, "patterns.top_k"),
         ("ingest", {"plt_roots": "x"}, "ingest.plt_roots"),
         ("ingest", {"poi_column_map": "x"}, "ingest.poi_column_map"),
+        ("patern", {"k_m": 2}, "patern"),
+        ("model", {"k_max": 0}, "model.k_max"),
+        ("visits", {"dist_thresh_m": 0}, "visits.dist_thresh_m"),
+        ("visits", {"time_thresh_s": -1}, "visits.time_thresh_s"),
         ("ingest", {"poi_column_map": {}}, "ingest.poi_column_map"),
         ("ingest", {"poi_csv": ""}, "ingest.poi_csv"),
         ("ingest", {"plt_root": ""}, "ingest.plt_root"),  # and no trajectory_csvs
         # load checks only that a trajectory CSV exists, so any file stands for one
         ("ingest", {"trajectory_csvs": [__file__], "trajectory_column_map": {"user": "u", "lat": "a", "lon": "o"}},
          "ingest.trajectory_column_map"),
-        ("patern", {"k_m": 2}, "patern"),
     ],
 )
 def test_out_of_range_value_is_config_error(fixture_root, tmp_path, capsys, section, value, field):
